@@ -28,48 +28,7 @@ impl Var {
     }
 }
 
-/// Element-wise activation functions (the `σ` of Eqs. 1, 2, 7, 12 and the
-/// hidden activations of the MLPs in Eqs. 13–14).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Act {
-    /// Identity (no-op) — used for final scoring layers where BPR needs an
-    /// unbounded score.
-    Identity,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Leaky ReLU with the given negative slope.
-    LeakyRelu(f32),
-}
-
-impl Act {
-    /// Applies the activation to a scalar.
-    #[inline]
-    pub fn apply(self, x: f32) -> f32 {
-        match self {
-            Act::Identity => x,
-            Act::Sigmoid => numeric::sigmoid(x),
-            Act::Relu => numeric::relu(x),
-            Act::Tanh => numeric::tanh(x),
-            Act::LeakyRelu(a) => numeric::leaky_relu(x, a),
-        }
-    }
-
-    /// Derivative given both the input `x` and the output `y = f(x)`.
-    #[inline]
-    fn grad(self, x: f32, y: f32) -> f32 {
-        match self {
-            Act::Identity => 1.0,
-            Act::Sigmoid => numeric::sigmoid_grad_from_output(y),
-            Act::Relu => numeric::relu_grad(x),
-            Act::Tanh => numeric::tanh_grad_from_output(y),
-            Act::LeakyRelu(a) => numeric::leaky_relu_grad(x, a),
-        }
-    }
-}
+pub use scenerec_tensor::numeric::Act;
 
 /// Tape record: how a node was produced.
 #[derive(Debug, Clone)]

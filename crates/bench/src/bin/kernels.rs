@@ -1,7 +1,9 @@
 //! Kernel speedup report: seed-style naive matmul vs the blocked GEMM
 //! at both dispatch backends (forced scalar vs runtime-detected SIMD),
 //! the threaded path, and the serve scoring kernel (`score_bt`), across
-//! a size sweep.
+//! a size sweep — plus one `mlp_head` row at the cold-serving shape: the
+//! Eq. 14 rating head (64 → 32 ReLU → 1) over 50,000 items, scored by
+//! the layer-by-layer `score_bt` stack and by the fused head kernel.
 //!
 //! ```text
 //! cargo run -p scenerec-bench --bin kernels --release -- \
@@ -11,7 +13,9 @@
 //! Writes a `BENCH_kernels.json` run manifest under `results/` recording
 //! per-size wall times, GFLOP/s, and three speedups per size: blocked
 //! over naive, SIMD over forced-scalar (the micro-kernel win), and
-//! threaded over naive. The manifest records which backend the runtime
+//! threaded over naive. The `mlp_head` row asserts that both paths give
+//! bit-identical scores on both backends before it reports GFLOP/s. The
+//! manifest records which backend the runtime
 //! dispatch resolved (`kernel_backend`), so diffs across machines with
 //! different SIMD features are detectable. This file is the evidence
 //! behind the "Performance" sections of README.md and DESIGN.md and is
@@ -21,6 +25,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenerec_bench::cli::Args;
 use scenerec_obs::RunManifest;
+use scenerec_tensor::numeric::Act;
+use scenerec_tensor::score::{HeadLayer, MlpHead};
 use scenerec_tensor::{backend_name, gemm, linalg, par, score, Backend, Initializer, Matrix};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -47,6 +53,24 @@ struct KernelRow {
     threaded_speedup: f64,
 }
 
+/// The rating head at the cold-serving shape, best-of-`reps` per path.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct MlpHeadRow {
+    items: usize,
+    /// Layer widths, input first.
+    widths: Vec<usize>,
+    stack_scalar_ns: u64,
+    stack_simd_ns: u64,
+    fused_scalar_ns: u64,
+    fused_simd_ns: u64,
+    stack_scalar_gflops: f64,
+    stack_simd_gflops: f64,
+    fused_scalar_gflops: f64,
+    fused_simd_gflops: f64,
+    /// Layer-by-layer stack over the fused kernel, both dispatched.
+    fused_speedup: f64,
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelsConfig {
     sizes: Vec<usize>,
@@ -57,6 +81,7 @@ struct KernelsConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelResults {
     rows: Vec<KernelRow>,
+    mlp_head: MlpHeadRow,
     /// `gemm_simd_speedup` at the largest swept size — the headline
     /// micro-kernel number (the tentpole target is >= 1.5 at 512^2 on
     /// AVX2 hosts; scalar-only hosts report ~1.0 here by construction).
@@ -76,6 +101,115 @@ fn best_ns(reps: usize, mut f: impl FnMut() -> Matrix) -> u64 {
     }
     assert!(sink.is_finite());
     best
+}
+
+/// Cold-serving head shape: dim 32 users and items, Eq. 14's 64 → 32 → 1.
+const MLP_ITEMS: usize = 50_000;
+const MLP_DIM: usize = 32;
+const MLP_HIDDEN: usize = 32;
+const MLP_BAND: usize = 512;
+
+/// The pre-fusion serving path: `[u ‖ i]` rows copied into a band
+/// matrix, then `score_bt` + activation one layer at a time.
+fn mlp_stack(layers: &[HeadLayer<'_>], user: &[f32], items: &Matrix, backend: Backend) -> Vec<f32> {
+    let mut out = Vec::with_capacity(items.rows());
+    let rows: Vec<&[f32]> = items.iter_rows().collect();
+    for band in rows.chunks(MLP_BAND) {
+        let mut h = Matrix::zeros(band.len(), user.len() + items.cols());
+        for (r, item) in band.iter().enumerate() {
+            let row = h.row_mut(r);
+            row[..user.len()].copy_from_slice(user);
+            row[user.len()..].copy_from_slice(item);
+        }
+        for layer in layers {
+            let mut y = score::try_score_bt_with_backend(&h, layer.w, Some(layer.b), 1, backend)
+                .expect("score_bt shapes");
+            for v in y.as_mut_slice() {
+                *v = layer.act.apply(*v);
+            }
+            h = y;
+        }
+        out.extend_from_slice(h.as_slice());
+    }
+    out
+}
+
+/// The fused head kernel, packed once per user, `MLP_BAND` items per call.
+fn mlp_fused(layers: &[HeadLayer<'_>], user: &[f32], items: &Matrix, backend: Backend) -> Vec<f32> {
+    let head = MlpHead::try_new(layers.iter().copied(), user).expect("head shapes");
+    let mut scratch = vec![0.0f32; head.scratch_len()];
+    let mut out = vec![0.0f32; items.rows()];
+    let rows: Vec<&[f32]> = items.iter_rows().collect();
+    for (band, out) in rows.chunks(MLP_BAND).zip(out.chunks_mut(MLP_BAND)) {
+        score::score_mlp_head_with_backend(&head, band.iter().copied(), out, &mut scratch, backend)
+            .expect("head shapes");
+    }
+    out
+}
+
+fn mlp_head_row(reps: usize, rng: &mut StdRng) -> MlpHeadRow {
+    let widths = vec![2 * MLP_DIM, MLP_HIDDEN, 1];
+    let w1 = Initializer::HeUniform.init(MLP_HIDDEN, 2 * MLP_DIM, rng);
+    let b1 = Initializer::XavierUniform.init(1, MLP_HIDDEN, rng);
+    let w2 = Initializer::XavierUniform.init(1, MLP_HIDDEN, rng);
+    let b2 = Initializer::XavierUniform.init(1, 1, rng);
+    let user = Initializer::XavierUniform.init(1, MLP_DIM, rng);
+    let items = Initializer::XavierUniform.init(MLP_ITEMS, MLP_DIM, rng);
+    let layers = [
+        HeadLayer {
+            w: &w1,
+            b: b1.as_slice(),
+            act: Act::Relu,
+        },
+        HeadLayer {
+            w: &w2,
+            b: b2.as_slice(),
+            act: Act::Identity,
+        },
+    ];
+    let u = user.as_slice();
+    let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let want = bits(mlp_stack(&layers, u, &items, Backend::Scalar));
+    for backend in [Backend::Scalar, Backend::Avx2] {
+        assert_eq!(
+            bits(mlp_stack(&layers, u, &items, backend)),
+            want,
+            "stack {backend:?}"
+        );
+        assert_eq!(
+            bits(mlp_fused(&layers, u, &items, backend)),
+            want,
+            "fused {backend:?}"
+        );
+    }
+    let time = |f: &dyn Fn() -> Vec<f32>| {
+        best_ns(reps, || {
+            Matrix::from_vec(1, MLP_ITEMS, f()).expect("one score per item")
+        })
+    };
+    let stack_scalar_ns = time(&|| mlp_stack(&layers, u, &items, Backend::Scalar));
+    let stack_simd_ns = time(&|| mlp_stack(&layers, u, &items, scenerec_tensor::backend()));
+    let fused_scalar_ns = time(&|| mlp_fused(&layers, u, &items, Backend::Scalar));
+    let fused_simd_ns = time(&|| mlp_fused(&layers, u, &items, scenerec_tensor::backend()));
+    let flops = MLP_ITEMS as f64
+        * widths
+            .windows(2)
+            .map(|io| 2.0 * (io[0] * io[1]) as f64)
+            .sum::<f64>();
+    let gflops = |ns: u64| flops / ns.max(1) as f64;
+    MlpHeadRow {
+        items: MLP_ITEMS,
+        widths,
+        stack_scalar_ns,
+        stack_simd_ns,
+        fused_scalar_ns,
+        fused_simd_ns,
+        stack_scalar_gflops: gflops(stack_scalar_ns),
+        stack_simd_gflops: gflops(stack_simd_ns),
+        fused_scalar_gflops: gflops(fused_scalar_ns),
+        fused_simd_gflops: gflops(fused_simd_ns),
+        fused_speedup: stack_simd_ns as f64 / fused_simd_ns.max(1) as f64,
+    }
 }
 
 fn main() {
@@ -160,6 +294,19 @@ fn main() {
         rows.push(row);
     }
 
+    let mlp_head = mlp_head_row(reps, &mut rng);
+    println!(
+        "\nmlp_head ({} items, {:?}): stack {:.2}/{:.2} GFLOP/s, fused {:.2}/{:.2} GFLOP/s (scalar/{}), fused {:.2}x",
+        mlp_head.items,
+        mlp_head.widths,
+        mlp_head.stack_scalar_gflops,
+        mlp_head.stack_simd_gflops,
+        mlp_head.fused_scalar_gflops,
+        mlp_head.fused_simd_gflops,
+        backend_name(),
+        mlp_head.fused_speedup,
+    );
+
     let headline = rows.last().map(|r| r.gemm_simd_speedup).unwrap_or(1.0);
     println!(
         "\n{} GEMM over forced-scalar at the largest size: {headline:.2}x",
@@ -176,6 +323,7 @@ fn main() {
         .with_kernel_backend(backend_name())
         .with_results(&KernelResults {
             rows,
+            mlp_head,
             gemm_simd_speedup_at_max_size: headline,
         })
         .capture_telemetry();

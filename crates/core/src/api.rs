@@ -48,8 +48,10 @@ pub trait PairwiseModel {
     /// freezing.
     ///
     /// Implementations must guarantee **exact** f32 parity: scoring the
-    /// frozen snapshot through `scenerec_tensor::score::score_bt` must
-    /// reproduce [`PairwiseModel::score_values`] bit for bit.
+    /// frozen snapshot's head layer by layer with the tape's `affine` +
+    /// activation order (`scenerec_tensor::score::score_bt`, which the
+    /// serving kernels reproduce) must give [`PairwiseModel::score_values`]
+    /// bit for bit.
     fn freeze(&self) -> Option<FrozenModel> {
         None
     }

@@ -11,10 +11,11 @@
 //! matrices, leaving only the pairing head (Eq. 14's rating MLP, or a dot
 //! product for embedding baselines) to run per request.
 //!
-//! The head is replayed with `scenerec_tensor::score::score_bt`, whose
-//! per-element reduction order matches the tape's `affine` operator, so a
-//! frozen `f32` engine reproduces `PairwiseModel::score_values` **bit for
-//! bit** (see `tests/serving_parity.rs`).
+//! The serving engine scores the head with kernels whose float order
+//! matches the tape's `affine` operator — `linalg::dot` for dot heads,
+//! the fused `scenerec_tensor::score::score_mlp_head` for MLP heads — so
+//! a frozen `f32` engine reproduces `PairwiseModel::score_values` **bit
+//! for bit** (see `tests/serving_parity.rs`).
 //!
 //! # Quantized snapshots
 //!
@@ -35,6 +36,7 @@
 
 use scenerec_autodiff::Act;
 use scenerec_tensor::quant::{HalfMatrix, Int8Matrix};
+use scenerec_tensor::score::HeadLayer;
 use scenerec_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -195,6 +197,17 @@ pub struct FrozenLayer {
     pub b: Vec<f32>,
     /// Activation applied element-wise after the affine map.
     pub act: Act,
+}
+
+impl FrozenLayer {
+    /// The layer as the fused head kernel's borrowed view.
+    pub fn as_head_layer(&self) -> HeadLayer<'_> {
+        HeadLayer {
+            w: &self.w,
+            b: &self.b,
+            act: self.act,
+        }
+    }
 }
 
 /// How a frozen model pairs a user row with an item row.

@@ -8,6 +8,10 @@
 //! thread and show up in [`snapshot`] / [`dump_string`] — the serve
 //! supervisor dumps them into the event stream when it reaps a dead
 //! worker, and the fault injector records every fired fault here.
+//! The registry keeps at most [`MAX_DEAD_RINGS`] rings of exited
+//! threads: registering a new ring drops the oldest ones beyond that,
+//! so a process that keeps spawning short-lived recording threads holds
+//! bounded memory without ever calling [`drain`].
 //!
 //! Recording takes one global atomic for the cross-thread sequence
 //! number plus one short per-ring mutex (uncontended: each thread
@@ -22,6 +26,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default per-thread ring capacity.
 pub const DEFAULT_CAPACITY: usize = 256;
+
+/// Rings of exited threads the registry keeps for post-mortem dumps,
+/// most recently registered first.
+pub const MAX_DEAD_RINGS: usize = 64;
 
 /// One recorded flight event.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,12 +93,28 @@ fn current_ring() -> Arc<Ring> {
                     thread,
                     events: Mutex::new(VecDeque::new()),
                 });
-                lock_unpoisoned(&registry().rings).push(ring.clone());
+                let mut rings = lock_unpoisoned(&registry().rings);
+                prune_dead(&mut rings, MAX_DEAD_RINGS);
+                rings.push(ring.clone());
+                drop(rings);
                 *slot = Some(ring.clone());
                 ring
             }
         }
     })
+}
+
+/// A ring only the registry still holds belongs to an exited thread
+/// (a live thread keeps its own `Arc` in its thread-local). Drops the
+/// oldest-registered such rings until at most `keep` remain.
+fn prune_dead(rings: &mut Vec<Arc<Ring>>, keep: usize) {
+    let dead = rings.iter().filter(|r| Arc::strong_count(r) == 1).count();
+    let mut excess = dead.saturating_sub(keep);
+    rings.retain(|r| {
+        let drop_it = excess > 0 && Arc::strong_count(r) == 1;
+        excess -= usize::from(drop_it);
+        !drop_it
+    });
 }
 
 /// Records one event into the calling thread's ring, overwriting the
@@ -261,5 +285,38 @@ mod tests {
         assert!(!snapshot()
             .iter()
             .any(|t| t.events.iter().any(|e| e.point == "test.flight.drain")));
+    }
+
+    /// Serve-hot style churn: 1,000 short-lived threads each record one
+    /// event. Without pruning the registry would hold 1,000 rings; it
+    /// keeps at most `MAX_DEAD_RINGS` exited ones (plus the last thread,
+    /// which exited after its own registration pruned), and the most
+    /// recent thread's events stay dumpable.
+    #[test]
+    fn short_lived_threads_leave_a_bounded_number_of_rings() {
+        let _g = registry_guard();
+        for i in 0..1000 {
+            std::thread::Builder::new()
+                .name(format!("flight-churn-{i}"))
+                .spawn(move || record("test.flight.churn", format!("churn {i}")))
+                .unwrap()
+                .join()
+                .unwrap();
+        }
+        let dead = lock_unpoisoned(&registry().rings)
+            .iter()
+            .filter(|r| Arc::strong_count(r) == 1)
+            .count();
+        assert!(
+            dead <= MAX_DEAD_RINGS + 1,
+            "{dead} exited-thread rings retained"
+        );
+        let dump = dump_string();
+        assert!(dump.contains("flight-churn-999") && dump.contains("churn 999"));
+        assert!(
+            !dump.contains("churn 0\n"),
+            "the oldest exited ring was kept"
+        );
+        drain();
     }
 }

@@ -11,9 +11,14 @@
 //!
 //! * the frozen user/item rows are tape-evaluated values (see
 //!   `scenerec_core::freeze`),
-//! * the head replays through `score_bt`, whose per-element reduction
-//!   order matches the tape's `affine` operator and is invariant to the
-//!   thread count and band size,
+//! * dot heads score with one `linalg::dot` + bias per item, the tape's
+//!   `affine` order; MLP heads go through the fused kernel
+//!   `scenerec_tensor::score::score_mlp_head`, which saves each layer-1
+//!   row's 8 lane sums and tail over the user's part of `[u ‖ i]` once
+//!   per request and resumes them per item. The user fills the leading
+//!   input positions, so every lane (and the tail) still sees the tape's
+//!   exact sequence of adds — the per-lane prefix invariant — and the
+//!   result is invariant to the thread count and band size,
 //! * candidates are scanned in ascending item order and ties resolve to
 //!   the smaller item id, matching the training-side stable sort.
 //!
@@ -41,14 +46,14 @@ use crate::cache::ResultCache;
 use crate::mask::SeenMask;
 use crate::topk::select_top_k;
 use scenerec_core::{
-    EntityMatrix, FrozenHead, FrozenModel, PairwiseModel, Precision, Recommendation,
+    EntityMatrix, FrozenHead, FrozenLayer, FrozenModel, PairwiseModel, Precision, Recommendation,
 };
 use scenerec_data::Dataset;
 use scenerec_faults::Injector;
 use scenerec_graph::UserId;
 use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Trace};
-use scenerec_tensor::score::try_score_bt;
-use scenerec_tensor::{linalg, quant, Matrix};
+use scenerec_tensor::score::{score_mlp_head, MlpHead};
+use scenerec_tensor::{linalg, par, quant, ShapeError, TensorResult};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -484,34 +489,66 @@ pub(crate) fn score_ids(
                 ))
             }
         },
-        // MLP heads expand rows to f32 (copy / exact widen /
-        // dequantize) and replay the f32 layer stack; the expansion
-        // is deterministic, so so is the whole path.
+        // MLP heads go through the fused head kernel: the user's share
+        // of layer 1 is packed once per request, f32 item rows are read
+        // in place, and f16/int8 rows are expanded to f32 one band at a
+        // time (exactly, so the path stays deterministic).
         FrozenHead::Mlp { layers } => {
-            let du = users.cols();
-            let di = items.cols();
-            let mut u = vec![0.0f32; du];
+            let mut u = vec![0.0f32; users.cols()];
             users.expand_row_into(user, &mut u);
-            for chunk in ids.chunks(band) {
-                let mut h = Matrix::zeros(chunk.len(), du + di);
-                for (r, &i) in chunk.iter().enumerate() {
-                    let row = h.row_mut(r);
-                    row[..du].copy_from_slice(&u);
-                    items.expand_row_into(i as usize, &mut row[du..]);
-                }
-                for layer in layers {
-                    let mut y = try_score_bt(&h, &layer.w, Some(&layer.b), threads)
-                        .map_err(|e| ServeError::Invalid(e.to_string()))?;
-                    for v in y.as_mut_slice() {
-                        *v = layer.act.apply(*v);
-                    }
-                    h = y;
-                }
-                out.extend_from_slice(h.as_slice());
+            let head = MlpHead::try_new(layers.iter().map(FrozenLayer::as_head_layer), &u)
+                .map_err(invalid)?;
+            out.resize(ids.len(), 0.0);
+            let span = ids.len().div_ceil(threads.max(1)).max(1);
+            let parts = ids.len().div_ceil(span);
+            let results = par::map_workers(parts, |w| {
+                let range = w * span..((w + 1) * span).min(ids.len());
+                let mut part = vec![0.0f32; range.len()];
+                score_mlp_range(&head, items, &ids[range], band, &mut part).map(|()| part)
+            });
+            for (chunk, part) in out.chunks_mut(span).zip(results) {
+                chunk.copy_from_slice(&part.map_err(invalid)?);
             }
         }
     }
     Ok(out)
+}
+
+/// Scores one contiguous id range through `head`, `band` ids per kernel
+/// call with one scratch buffer for the whole range.
+fn score_mlp_range(
+    head: &MlpHead,
+    items: &EntityMatrix,
+    ids: &[u32],
+    band: usize,
+    out: &mut [f32],
+) -> TensorResult<()> {
+    let mut scratch = vec![0.0f32; head.scratch_len()];
+    let calls = ids.chunks(band).zip(out.chunks_mut(band));
+    match items {
+        EntityMatrix::F32(catalog) => {
+            for (ids, out) in calls {
+                let rows = ids.iter().map(|&i| catalog.row(i as usize));
+                score_mlp_head(head, rows, out, &mut scratch)?;
+            }
+        }
+        _ => {
+            let di = items.cols().max(1);
+            let mut rows = vec![0.0f32; band.min(ids.len()) * di];
+            for (ids, out) in calls {
+                let rows = &mut rows[..ids.len() * di];
+                for (&i, row) in ids.iter().zip(rows.chunks_exact_mut(di)) {
+                    items.expand_row_into(i as usize, row);
+                }
+                score_mlp_head(head, rows.chunks_exact(di), out, &mut scratch)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+fn invalid(e: ShapeError) -> ServeError {
+    ServeError::Invalid(e.to_string())
 }
 
 /// Per-user seen-item lists from the dataset's training interactions —
@@ -526,6 +563,7 @@ pub(crate) fn seen_lists(data: &Dataset) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
     use scenerec_core::FrozenHead;
+    use scenerec_tensor::Matrix;
 
     /// A tiny hand-built dot-product model: 3 users, 4 items, dim 2.
     fn toy_frozen() -> FrozenModel {
@@ -742,29 +780,49 @@ mod tests {
         assert_eq!((hits, misses), (1, 1));
     }
 
-    /// An MLP head over quantized matrices expands rows to f32 and
-    /// replays the f32 stack — scores equal the same-head engine built
-    /// over the pre-expanded dense matrices.
+    /// An MLP head over quantized matrices expands rows to f32 before
+    /// the fused kernel — scores equal the same-head engine built over
+    /// the pre-expanded dense matrices. Run at dims that split a lane
+    /// chunk (6, 13) and one that does not (16), with a 9-wide hidden
+    /// layer (one 8-row block plus a leftover row).
     #[test]
     fn quantized_mlp_head_equals_dense_expansion() {
+        for dim in [6usize, 13, 16] {
+            quantized_mlp_head_equals_dense_expansion_at(dim);
+        }
+    }
+
+    fn quantized_mlp_head_equals_dense_expansion_at(dim: usize) {
         use scenerec_autodiff::Act;
         use scenerec_core::FrozenLayer;
 
-        let base = random_frozen(4, 12, 6);
+        let base = random_frozen(4, 12, dim);
         let (EntityMatrix::F32(users), EntityMatrix::F32(items)) = (&base.users, &base.items)
         else {
             unreachable!()
         };
+        let (hidden, k) = (9, 2 * dim);
         let head = FrozenHead::Mlp {
             layers: vec![
                 FrozenLayer {
-                    w: Matrix::from_vec(3, 12, (0..36).map(|i| (i as f32 - 18.0) / 23.0).collect())
-                        .unwrap(),
-                    b: vec![0.05, -0.05, 0.0],
+                    w: Matrix::from_vec(
+                        hidden,
+                        k,
+                        (0..hidden * k)
+                            .map(|i| ((i * 7) % 37) as f32 / 23.0 - 0.8)
+                            .collect(),
+                    )
+                    .unwrap(),
+                    b: (0..hidden).map(|j| j as f32 * 0.05 - 0.2).collect(),
                     act: Act::Tanh,
                 },
                 FrozenLayer {
-                    w: Matrix::from_vec(1, 3, vec![0.5, -0.25, 0.125]).unwrap(),
+                    w: Matrix::from_vec(
+                        1,
+                        hidden,
+                        (0..hidden).map(|j| 0.5 - j as f32 * 0.125).collect(),
+                    )
+                    .unwrap(),
                     b: vec![0.01],
                     act: Act::Identity,
                 },
@@ -785,7 +843,7 @@ mod tests {
                 let b = de.score_all(user).unwrap();
                 let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
                 let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ab, bb, "{} user {user}", precision.name());
+                assert_eq!(ab, bb, "{} dim {dim} user {user}", precision.name());
             }
         }
     }

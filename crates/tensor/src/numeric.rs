@@ -164,6 +164,51 @@ pub fn clamp(x: f32, lo: f32, hi: f32) -> f32 {
     x.max(lo).min(hi)
 }
 
+/// Element-wise activation functions (the `σ` of Eqs. 1, 2, 7, 12 and the
+/// hidden activations of the MLPs in Eqs. 13–14). Lives here, beside the
+/// scalar functions it applies, so the serving kernels in
+/// [`crate::score`] apply exactly the tape's activation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Act {
+    /// Identity (no-op) — used for final scoring layers where BPR needs an
+    /// unbounded score.
+    Identity,
+    /// Logistic sigmoid.
+    Sigmoid,
+    /// Rectified linear unit.
+    Relu,
+    /// Hyperbolic tangent.
+    Tanh,
+    /// Leaky ReLU with the given negative slope.
+    LeakyRelu(f32),
+}
+
+impl Act {
+    /// Applies the activation to a scalar.
+    #[inline]
+    pub fn apply(self, x: f32) -> f32 {
+        match self {
+            Act::Identity => x,
+            Act::Sigmoid => sigmoid(x),
+            Act::Relu => relu(x),
+            Act::Tanh => tanh(x),
+            Act::LeakyRelu(a) => leaky_relu(x, a),
+        }
+    }
+
+    /// Derivative given both the input `x` and the output `y = f(x)`.
+    #[inline]
+    pub fn grad(self, x: f32, y: f32) -> f32 {
+        match self {
+            Act::Identity => 1.0,
+            Act::Sigmoid => sigmoid_grad_from_output(y),
+            Act::Relu => relu_grad(x),
+            Act::Tanh => tanh_grad_from_output(y),
+            Act::LeakyRelu(a) => leaky_relu_grad(x, a),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

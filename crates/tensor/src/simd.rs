@@ -16,7 +16,10 @@
 //! The integer int8 kernel is exact arithmetic in `i32`, which is
 //! order-independent, so it is trivially identical to its scalar twin.
 
+use crate::error::TensorResult;
 use crate::gemm::{MR, NR};
+use crate::numeric::Act;
+use crate::score::{reduce_lanes, MlpHead, PackedLayer, LANES};
 use core::arch::x86_64::*;
 
 /// Dot product with [`crate::linalg::dot`]'s exact float order: one
@@ -191,5 +194,230 @@ pub(crate) unsafe fn micro_kernel_avx2(
         for (c_v, &acc_v) in c_band[base..base + nr].iter_mut().zip(&row[..nr]) {
             *c_v += acc_v;
         }
+    }
+}
+
+/// The fused MLP-head kernel ([`crate::score::score_mlp_head`]): the
+/// shared item loop with every full block of 8 hidden rows computed by
+/// [`head_block8_avx2`] and each leftover row by [`head_row_avx2`].
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`, which is only true when
+// `detect_cpu` observed avx2+fma+f16c at runtime.
+#[target_feature(enable = "avx2,fma,f16c")]
+pub(crate) unsafe fn score_mlp_head_avx2<'r>(
+    head: &MlpHead,
+    rows: impl Iterator<Item = &'r [f32]>,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) -> TensorResult<()> {
+    crate::score::drive_head(head, rows, out, scratch, |l, packed, xs, y| {
+        for b in 0..l.num_blocks() {
+            let (r0, rows, at) = l.block(b);
+            let blk = &packed[at..at + l.parts(rows).len];
+            for (x, y) in xs.iter().zip(y.chunks_exact_mut(l.out)) {
+                let lead = l.lead_chunk(x);
+                if rows == LANES {
+                    // SAFETY: this closure runs only inside
+                    // `score_mlp_head_avx2`, whose guarding dispatch check
+                    // `dispatch::resolve(..) == Backend::Avx2` the caller holds.
+                    unsafe { head_block8_avx2(l, blk, x, &lead, &mut y[r0..r0 + LANES]) };
+                } else {
+                    // SAFETY: as above — the caller holds the dispatch check.
+                    y[r0] = unsafe { head_row_avx2(l, blk, x, &lead) };
+                }
+            }
+        }
+    })
+}
+
+/// Eight hidden rows of one layer: each row's 8-lane accumulator resumes
+/// from its packed start lanes and adds the per-item chunks (mul, then
+/// add, as in [`dot_avx2`]); the 8 accumulators are reduced together —
+/// two `hadd` rounds give every row's `(l0+l1)+(l2+l3)` and
+/// `(l4+l5)+(l6+l7)`, one add joins them — then `+ tail`, `+ bias` and
+/// the activation, each row exactly as `dot_avx2` + bias + `Act::apply`.
+/// (`hadd` adds a pair as `l1 + l0`; IEEE addition is commutative, so
+/// the sum is the same float.)
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`; `blk` and `y` are resliced
+// (bounds-checked) to one packed 8-row block and 8 outputs.
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn head_block8_avx2(
+    l: &PackedLayer,
+    blk: &[f32],
+    x: &[f32],
+    lead: &[f32; LANES],
+    y: &mut [f32],
+) {
+    let p = l.p8;
+    // Bounds-checked reslices: every pointer offset below is proven
+    // against these exact lengths.
+    let (blk, y) = (&blk[..p.len], &mut y[..LANES]);
+    let pb = blk.as_ptr();
+    let mut acc = [_mm256_setzero_ps(); LANES];
+    for (r, a) in acc.iter_mut().enumerate() {
+        // SAFETY: the start lanes of row r are 8 floats at
+        // `p.lanes + 8r < p.tails <= blk.len()`.
+        *a = unsafe { _mm256_loadu_ps(pb.add(p.lanes + r * LANES)) };
+    }
+    for ci in 0..l.chunks {
+        let xs = if ci == 0 && l.lead > 0 {
+            &lead[..]
+        } else {
+            &x[l.chunk_x(ci)..][..LANES]
+        };
+        // SAFETY: `xs` is exactly 8 floats (the staged array or a
+        // bounds-checked 8-float slice of `x`).
+        let xv = unsafe { _mm256_loadu_ps(xs.as_ptr()) };
+        let wc = pb.wrapping_add(ci * LANES * LANES);
+        for (r, a) in acc.iter_mut().enumerate() {
+            // SAFETY: chunk ci's weights are the 64 floats at
+            // `64 ci < p.tail_w <= blk.len()`; row r's 8 lie at `8r`.
+            let wv = unsafe { _mm256_loadu_ps(wc.add(r * LANES)) };
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
+        }
+    }
+    let q0 = _mm256_hadd_ps(
+        _mm256_hadd_ps(acc[0], acc[1]),
+        _mm256_hadd_ps(acc[2], acc[3]),
+    );
+    let q1 = _mm256_hadd_ps(
+        _mm256_hadd_ps(acc[4], acc[5]),
+        _mm256_hadd_ps(acc[6], acc[7]),
+    );
+    let low = _mm256_permute2f128_ps::<0x20>(q0, q1);
+    let high = _mm256_permute2f128_ps::<0x31>(q0, q1);
+    let mut s = _mm256_add_ps(low, high);
+    // SAFETY: the 8 start tails sit at `p.tails`, 8 floats before
+    // `p.bias + 8 = p.len <= blk.len()`.
+    let mut tail = unsafe { _mm256_loadu_ps(pb.add(p.tails)) };
+    for (t, &xv) in x[l.tail_x..l.tail_x + l.tails].iter().enumerate() {
+        // SAFETY: tail position t's 8 row weights are at
+        // `p.tail_w + 8t < p.lanes <= blk.len()`.
+        let wv = unsafe { _mm256_loadu_ps(pb.add(p.tail_w + t * LANES)) };
+        tail = _mm256_add_ps(tail, _mm256_mul_ps(_mm256_set1_ps(xv), wv));
+    }
+    s = _mm256_add_ps(s, tail);
+    // SAFETY: the 8 biases end at `p.len <= blk.len()`.
+    s = _mm256_add_ps(s, unsafe { _mm256_loadu_ps(pb.add(p.bias)) });
+    // SAFETY: the caller holds the dispatch check (see above).
+    unsafe { act_avx2(l.act, s, y) };
+}
+
+/// Applies `act` to 8 lanes and stores them to `y[..8]`, bit for bit as
+/// `Act::apply` per lane: ReLU keeps `x` where `x > 0` and clears every
+/// other lane to `+0.0` (the ordered compare is false for `-0.0` and
+/// NaN), leaky ReLU blends `x` with `a * x` on the same mask, and the
+/// transcendental activations run the scalar function per lane.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`; `y` is resliced
+// (bounds-checked) to 8 floats.
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn act_avx2(act: Act, s: __m256, y: &mut [f32]) {
+    let y = &mut y[..LANES];
+    let positive = _mm256_cmp_ps::<_CMP_GT_OQ>(s, _mm256_setzero_ps());
+    let v = match act {
+        Act::Identity => s,
+        Act::Relu => _mm256_and_ps(positive, s),
+        Act::LeakyRelu(a) => _mm256_blendv_ps(_mm256_mul_ps(_mm256_set1_ps(a), s), s, positive),
+        Act::Sigmoid | Act::Tanh => {
+            // SAFETY: `y` is exactly 8 floats, the width of one ymm store.
+            unsafe { _mm256_storeu_ps(y.as_mut_ptr(), s) };
+            for v in y.iter_mut() {
+                *v = act.apply(*v);
+            }
+            return;
+        }
+    };
+    // SAFETY: `y` is exactly 8 floats, the width of one ymm store.
+    unsafe { _mm256_storeu_ps(y.as_mut_ptr(), v) };
+}
+
+/// One leftover hidden row: [`dot_avx2`]'s accumulator resumed from the
+/// row's packed start lanes, then the same lane reduction, `+ tail`,
+/// `+ bias` and `Act::apply`.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`; `blk` is resliced
+// (bounds-checked) to one packed 1-row block.
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn head_row_avx2(l: &PackedLayer, blk: &[f32], x: &[f32], lead: &[f32; LANES]) -> f32 {
+    let p = l.p1;
+    let blk = &blk[..p.len];
+    let pb = blk.as_ptr();
+    // SAFETY: the row's 8 start lanes end at `p.tails <= blk.len()`.
+    let mut acc = unsafe { _mm256_loadu_ps(pb.add(p.lanes)) };
+    for ci in 0..l.chunks {
+        let xs = if ci == 0 && l.lead > 0 {
+            &lead[..]
+        } else {
+            &x[l.chunk_x(ci)..][..LANES]
+        };
+        // SAFETY: `xs` is exactly 8 floats; chunk ci's 8 weights end at
+        // `8 (ci + 1) <= p.tail_w <= blk.len()`.
+        let (xv, wv) = unsafe {
+            (
+                _mm256_loadu_ps(xs.as_ptr()),
+                _mm256_loadu_ps(pb.add(ci * LANES)),
+            )
+        };
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, wv));
+    }
+    let mut lanes = [0.0f32; LANES];
+    // SAFETY: `lanes` is exactly 8 f32s, the width of one ymm store.
+    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
+    let mut tail = blk[p.tails];
+    for (t, &xv) in x[l.tail_x..l.tail_x + l.tails].iter().enumerate() {
+        tail += xv * blk[p.tail_w + t];
+    }
+    let v = reduce_lanes(&lanes) + tail;
+    l.act.apply(v + blk[p.bias])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dispatch::{self, Backend};
+
+    /// The vector activations against `Act::apply` on the values where a
+    /// vector `max`/compare could drift: signed zeros, NaN, infinities
+    /// and subnormals.
+    #[test]
+    fn vector_activations_match_scalar_apply_bitwise() {
+        if dispatch::cpu_backend() != Backend::Avx2 {
+            return;
+        }
+        let x = [
+            -0.0,
+            0.0,
+            f32::NAN,
+            -1.5,
+            2.5,
+            -f32::from_bits(1),
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+        ];
+        for act in [
+            Act::Identity,
+            Act::Sigmoid,
+            Act::Relu,
+            Act::Tanh,
+            Act::LeakyRelu(0.2),
+        ] {
+            let mut got = [0.0f32; LANES];
+            // SAFETY: the CPU reported avx2+fma+f16c (checked above);
+            // `x` is exactly 8 floats.
+            unsafe { act_avx2(act, _mm256_loadu_ps(x.as_ptr()), &mut got) };
+            let want = x.map(|v| act.apply(v).to_bits());
+            assert_eq!(got.map(f32::to_bits), want, "{act:?}");
+        }
+        assert_eq!(Act::Relu.apply(-0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(Act::Relu.apply(f32::NAN).to_bits(), 0.0f32.to_bits());
     }
 }

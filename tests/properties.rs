@@ -558,3 +558,117 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The fused MLP rating-head kernel against the layer-by-layer reference
+// (`try_score_bt` + `Act::apply`), bit for bit, on both kernel backends
+// in one process: user widths that split a lane chunk, inputs ending in
+// a scalar tail, hidden widths around the 8-row block, every activation,
+// and adversarial values (signed zeros, subnormals, tie-prone grids).
+// ---------------------------------------------------------------------
+
+use scenerec_autodiff::Act;
+use scenerec_tensor::score::{
+    score_mlp_head_with_backend, try_score_bt_with_backend, HeadLayer, MlpHead,
+};
+use scenerec_tensor::Backend;
+
+const HEAD_USER_DIMS: [usize; 5] = [1, 3, 8, 13, 32];
+const HEAD_HIDDEN: [usize; 5] = [1, 5, 8, 17, 32];
+const HEAD_ACTS: [Act; 5] = [
+    Act::Identity,
+    Act::Sigmoid,
+    Act::Relu,
+    Act::Tanh,
+    Act::LeakyRelu(0.2),
+];
+
+/// Ordinary values mixed with `-0.0`/`+0.0`, signed subnormals, and a
+/// coarse grid whose products and partial sums collide exactly.
+fn adversarial_values(seed: u64, n: usize) -> Vec<f32> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = splitmix64(state);
+            let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+            match (state >> 1) % 8 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => sign * f32::from_bits(1 + ((state >> 8) % 0x7f_ffff) as u32),
+                3 | 4 => ((state >> 16) % 5) as f32 * 0.25 - 0.5,
+                _ => (state >> 40) as f32 / 8_388_608.0 - 1.0,
+            }
+        })
+        .collect()
+}
+
+/// Runs `[user ‖ item]` rows through the stack one layer at a time, the
+/// pre-fusion serving path.
+fn head_reference(
+    layers: &[(Matrix, Vec<f32>, Act)],
+    user: &[f32],
+    items: &Matrix,
+    backend: Backend,
+) -> Vec<u32> {
+    let mut h = Matrix::zeros(items.rows(), user.len() + items.cols());
+    for r in 0..items.rows() {
+        let row = h.row_mut(r);
+        row[..user.len()].copy_from_slice(user);
+        row[user.len()..].copy_from_slice(items.row(r));
+    }
+    for (w, b, act) in layers {
+        let mut y = try_score_bt_with_backend(&h, w, Some(b), 1, backend).unwrap();
+        for v in y.as_mut_slice() {
+            *v = act.apply(*v);
+        }
+        h = y;
+    }
+    h.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fused_mlp_head_matches_layer_stack_bitwise(
+        seed in 0u64..1_000_000,
+        du_idx in 0usize..5,
+        di in 1usize..20,
+        hidden in prop::collection::vec(0usize..5, 1..3),
+        acts in prop::collection::vec(0usize..5, 3),
+        num_items in 1usize..40,
+    ) {
+        let du = HEAD_USER_DIMS[du_idx];
+        let mut widths = vec![du + di];
+        widths.extend(hidden.iter().map(|&h| HEAD_HIDDEN[h]));
+        widths.push(1);
+        let layers: Vec<(Matrix, Vec<f32>, Act)> = widths
+            .windows(2)
+            .enumerate()
+            .map(|(li, io)| {
+                let s = splitmix64(seed ^ (li as u64 + 1));
+                let w = Matrix::from_vec(io[1], io[0], adversarial_values(s, io[0] * io[1])).unwrap();
+                (w, adversarial_values(s ^ 7, io[1]), HEAD_ACTS[acts[li]])
+            })
+            .collect();
+        let user = adversarial_values(seed ^ 0xa5, du);
+        let items = Matrix::from_vec(num_items, di, adversarial_values(seed ^ 0x5a, num_items * di)).unwrap();
+        let want = head_reference(&layers, &user, &items, Backend::Scalar);
+        prop_assert_eq!(&head_reference(&layers, &user, &items, Backend::Avx2), &want);
+
+        let head = MlpHead::try_new(
+            layers.iter().map(|(w, b, act)| HeadLayer { w, b, act: *act }),
+            &user,
+        )
+        .unwrap();
+        prop_assert_eq!(head.item_dim(), di);
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            let mut out = vec![f32::NAN; num_items];
+            let mut scratch = vec![0.0; head.scratch_len()];
+            score_mlp_head_with_backend(&head, items.iter_rows(), &mut out, &mut scratch, backend)
+                .unwrap();
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "backend={} widths={:?}", backend.name(), widths);
+        }
+    }
+}

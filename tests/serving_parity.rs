@@ -102,6 +102,63 @@ fn scenerec_frozen_scores_match_tape_bit_for_bit() {
     assert_parity(&model, &data);
 }
 
+/// Every unseen item's score, through a 3-shard `ShardedEngine`, equals
+/// the tape's ranking bit for bit (k = the whole catalog, so no item is
+/// left out of the comparison).
+fn assert_sharded_parity<M: PairwiseModel + Sync>(model: &M, data: &Dataset) {
+    let sharded = ShardedEngine::from_model_quantized(
+        model,
+        data,
+        Precision::F32,
+        ShardedConfig::with_shards(3),
+    )
+    .unwrap_or_else(|e| panic!("sharding {} failed: {e}", model.name()));
+    let k = data.num_items() as usize;
+    for user in 0..SAMPLED_USERS {
+        let served = sharded.top_k(user, k).expect("sharded top_k");
+        let trained = top_k_unseen(model, data, UserId(user), k);
+        let bits = |recs: &[scenerec_core::Recommendation]| {
+            recs.iter()
+                .map(|r| (r.item, r.score.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(&served),
+            bits(&trained),
+            "{}: user {user} sharded scores diverged from the tape",
+            model.name()
+        );
+    }
+}
+
+/// The fused head kernel splits layer 1 of Eq. 14 at the user width. At
+/// d = 13 the user ends mid-way through a lane chunk that the item then
+/// fills, and the 26-wide input ends in a scalar tail.
+#[test]
+fn scenerec_frozen_scores_match_tape_at_ragged_dim() {
+    let data = dataset();
+    let mut model = SceneRec::new(SceneRecConfig::default().with_dim(13), &data);
+    train(&mut model, &data, &train_cfg());
+    assert_parity(&model, &data);
+    assert_sharded_parity(&model, &data);
+}
+
+/// A deeper rating head (two hidden layers, 16 → 8): the later layers
+/// run through the same 8-row blocks as layer 1, and the output layer
+/// through the single-row path.
+#[test]
+fn scenerec_frozen_scores_match_tape_with_two_hidden_layers() {
+    let data = dataset();
+    let cfg = SceneRecConfig {
+        rating_hidden: vec![16, 8],
+        ..SceneRecConfig::default().with_dim(8)
+    };
+    let mut model = SceneRec::new(cfg, &data);
+    train(&mut model, &data, &train_cfg());
+    assert_parity(&model, &data);
+    assert_sharded_parity(&model, &data);
+}
+
 #[test]
 fn bprmf_frozen_scores_match_tape_bit_for_bit() {
     let data = dataset();
