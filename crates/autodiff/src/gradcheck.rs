@@ -60,9 +60,8 @@ pub fn check_gradients(
             ParamKind::Embedding => {
                 // Probe the touched rows (dense grads there), in order.
                 let mut v: Vec<usize> = grads
-                    .sparse(id)
-                    .keys()
-                    .flat_map(|&r| (0..cols).map(move |c| r as usize * cols + c))
+                    .rows(id)
+                    .flat_map(|(r, _)| (0..cols).map(move |c| r as usize * cols + c))
                     .collect();
                 v.sort_unstable();
                 v.truncate(max_per_param);
@@ -76,7 +75,7 @@ pub fn check_gradients(
                 ParamKind::Embedding => {
                     let r = (flat / cols) as u32;
                     let c = flat % cols;
-                    grads.sparse(id).get(&r).map_or(0.0, |row| row[c])
+                    grads.row(id, r).map_or(0.0, |row| row[c])
                 }
             };
 

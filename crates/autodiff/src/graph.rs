@@ -448,63 +448,63 @@ impl<'s> Graph<'s> {
                         grads.add_row_scaled(*table, r, wv.get(k, 0), g.as_slice());
                         wgrad.set(k, 0, linalg::dot(g.as_slice(), row));
                     }
-                    accumulate(&mut adj, weights.0, &wgrad);
+                    accumulate(&mut adj, weights.0, wgrad);
                 }
                 Op::Affine { w, b, x } => {
                     let xv = &self.nodes[x.0].value;
                     // gW += g xᵀ ; gb += g ; gx += Wᵀ g
-                    grads.add_dense(*w, &linalg::outer(g.as_slice(), xv.as_slice()));
+                    grads.add_outer(*w, g.as_slice(), xv.as_slice());
                     grads.add_dense(*b, &g);
                     let gx = linalg::matvec_t(self.store.value(*w), g.as_slice());
-                    accumulate(&mut adj, x.0, &Matrix::col_vector(&gx));
+                    accumulate(&mut adj, x.0, Matrix::col_vector(&gx));
                 }
                 Op::Linear { w, x } => {
                     let xv = &self.nodes[x.0].value;
-                    grads.add_dense(*w, &linalg::outer(g.as_slice(), xv.as_slice()));
+                    grads.add_outer(*w, g.as_slice(), xv.as_slice());
                     let gx = linalg::matvec_t(self.store.value(*w), g.as_slice());
-                    accumulate(&mut adj, x.0, &Matrix::col_vector(&gx));
+                    accumulate(&mut adj, x.0, Matrix::col_vector(&gx));
                 }
                 Op::Add { a, b } => {
-                    accumulate(&mut adj, a.0, &g);
-                    accumulate(&mut adj, b.0, &g);
+                    accumulate(&mut adj, a.0, g.clone());
+                    accumulate(&mut adj, b.0, g);
                 }
                 Op::Sub { a, b } => {
-                    accumulate(&mut adj, a.0, &g);
                     let neg = g.map(|v| -v);
-                    accumulate(&mut adj, b.0, &neg);
+                    accumulate(&mut adj, a.0, g);
+                    accumulate(&mut adj, b.0, neg);
                 }
                 Op::Mul { a, b } => {
                     let ga = linalg::hadamard(&g, &self.nodes[b.0].value);
                     let gb = linalg::hadamard(&g, &self.nodes[a.0].value);
-                    accumulate(&mut adj, a.0, &ga);
-                    accumulate(&mut adj, b.0, &gb);
+                    accumulate(&mut adj, a.0, ga);
+                    accumulate(&mut adj, b.0, gb);
                 }
                 Op::Scale { a, c } => {
                     let c = *c;
                     let ga = g.map(|v| c * v);
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, ga);
                 }
                 Op::ScalarMul { s, v } => {
                     let sv = self.nodes[s.0].value.get(0, 0);
                     let vv = &self.nodes[v.0].value;
                     let gs = linalg::dot(g.as_slice(), vv.as_slice());
-                    accumulate(&mut adj, s.0, &Matrix::full(1, 1, gs));
+                    accumulate(&mut adj, s.0, Matrix::full(1, 1, gs));
                     let gv = g.map(|x| sv * x);
-                    accumulate(&mut adj, v.0, &gv);
+                    accumulate(&mut adj, v.0, gv);
                 }
                 Op::Dot { a, b } => {
                     let gs = g.get(0, 0);
                     let ga = self.nodes[b.0].value.map(|v| gs * v);
                     let gb = self.nodes[a.0].value.map(|v| gs * v);
-                    accumulate(&mut adj, a.0, &ga);
-                    accumulate(&mut adj, b.0, &gb);
+                    accumulate(&mut adj, a.0, ga);
+                    accumulate(&mut adj, b.0, gb);
                 }
                 Op::Concat { parts } => {
                     let mut offset = 0usize;
                     for &p in parts {
                         let n = self.nodes[p.0].value.rows();
                         let slice = &g.as_slice()[offset..offset + n];
-                        accumulate(&mut adj, p.0, &Matrix::col_vector(slice));
+                        accumulate(&mut adj, p.0, Matrix::col_vector(slice));
                         offset += n;
                     }
                 }
@@ -520,7 +520,7 @@ impl<'s> Graph<'s> {
                         .collect();
                     let ga =
                         Matrix::from_vec(g.rows(), g.cols(), data).expect("activation grad shape"); // lint:allow(R1): data zips g element-wise
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, ga);
                 }
                 Op::Softmax { a } => {
                     let p = &self.nodes[i].value;
@@ -532,37 +532,32 @@ impl<'s> Graph<'s> {
                         .map(|(&pi, &gi)| pi * (gi - inner))
                         .collect();
                     let ga = Matrix::from_vec(p.rows(), 1, data).expect("softmax grad shape"); // lint:allow(R1): data zips p element-wise
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, ga);
                 }
                 Op::StackScalars { parts } => {
                     for (k, &p) in parts.iter().enumerate() {
-                        let gp = Matrix::full(1, 1, g.get(k, 0));
-                        accumulate(&mut adj, p.0, &gp);
+                        accumulate(&mut adj, p.0, Matrix::full(1, 1, g.get(k, 0)));
                     }
                 }
                 Op::Cosine { a, b } => {
                     let gs = g.get(0, 0);
                     let av = self.nodes[a.0].value.as_slice();
                     let bv = self.nodes[b.0].value.as_slice();
-                    let mut ga = numeric::cosine_grad_wrt_a(av, bv);
-                    let mut gb = numeric::cosine_grad_wrt_a(bv, av);
-                    linalg::scale(gs, &mut ga);
-                    linalg::scale(gs, &mut gb);
-                    accumulate(&mut adj, a.0, &Matrix::col_vector(&ga));
-                    accumulate(&mut adj, b.0, &Matrix::col_vector(&gb));
+                    let (ga, gb) = numeric::cosine_grads(av, bv, gs);
+                    accumulate(&mut adj, a.0, Matrix::col_vector(&ga));
+                    accumulate(&mut adj, b.0, Matrix::col_vector(&gb));
                 }
                 Op::Select { a, index } => {
                     let gs = g.get(0, 0);
                     let shape = self.nodes[a.0].value.shape();
                     let mut ga = Matrix::zeros(shape.0, shape.1);
                     ga.set(*index, 0, gs);
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, ga);
                 }
                 Op::Sum { a } => {
                     let gs = g.get(0, 0);
                     let shape = self.nodes[a.0].value.shape();
-                    let ga = Matrix::full(shape.0, shape.1, gs);
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, Matrix::full(shape.0, shape.1, gs));
                 }
                 Op::LogSigmoid { a } => {
                     // d/dx ln σ(x) = 1 - σ(x) = σ(-x)
@@ -575,22 +570,25 @@ impl<'s> Graph<'s> {
                         .collect();
                     let ga =
                         Matrix::from_vec(g.rows(), g.cols(), data).expect("log_sigmoid grad shape"); // lint:allow(R1): data zips g element-wise
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, ga);
                 }
                 Op::SquaredNorm { a } => {
                     let gs = g.get(0, 0);
                     let ga = self.nodes[a.0].value.map(|v| 2.0 * gs * v);
-                    accumulate(&mut adj, a.0, &ga);
+                    accumulate(&mut adj, a.0, ga);
                 }
             }
         }
     }
 }
 
-fn accumulate(adj: &mut [Option<Matrix>], idx: usize, g: &Matrix) {
+/// Adds `g` to node `idx`'s adjoint. The first contribution is moved in
+/// as is (copy-on-first-write): that carries a `-0.0` gradient through
+/// unchanged, where `0.0 + g` would turn it into `+0.0`.
+fn accumulate(adj: &mut [Option<Matrix>], idx: usize, g: Matrix) {
     match &mut adj[idx] {
-        Some(existing) => linalg::add_scaled(existing, 1.0, g),
-        slot @ None => *slot = Some(g.clone()),
+        Some(existing) => linalg::add_scaled(existing, 1.0, &g),
+        slot @ None => *slot = Some(g),
     }
 }
 
@@ -654,10 +652,9 @@ mod tests {
         let loss = g.dot(out, target);
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
-        let rows = grads.sparse(e);
         // d loss / d row_0 = w_0 * [1,1]
-        assert_eq!(rows[&0], vec![0.25, 0.25]);
-        assert_eq!(rows[&1], vec![0.75, 0.75]);
+        assert_eq!(grads.row(e, 0), Some(&[0.25, 0.25][..]));
+        assert_eq!(grads.row(e, 1), Some(&[0.75, 0.75][..]));
     }
 
     #[test]
@@ -726,8 +723,8 @@ mod tests {
         let loss = g.dot(cat, weights);
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
-        assert_eq!(grads.sparse(e)[&0], vec![1.0, 2.0]);
-        assert_eq!(grads.sparse(e)[&1], vec![3.0, 4.0]);
+        assert_eq!(grads.row(e, 0), Some(&[1.0, 2.0][..]));
+        assert_eq!(grads.row(e, 1), Some(&[3.0, 4.0][..]));
     }
 
     #[test]
@@ -742,7 +739,7 @@ mod tests {
         let loss = g.sum(y);
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
-        assert_eq!(grads.sparse(e)[&0], vec![2.0, 2.0, 2.0]);
+        assert_eq!(grads.row(e, 0), Some(&[2.0, 2.0, 2.0][..]));
     }
 
     #[test]
@@ -768,7 +765,7 @@ mod tests {
         let doubled = g.scale(s, 2.0);
         let mut grads = GradStore::new(&store);
         g.backward(doubled, &mut grads);
-        assert_eq!(grads.sparse(e)[&0], vec![0.0, 2.0, 0.0]);
+        assert_eq!(grads.row(e, 0), Some(&[0.0, 2.0, 0.0][..]));
     }
 
     #[test]
@@ -798,7 +795,7 @@ mod tests {
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
         // d/d row0 = s * 1 = 4; d/d s = sum(v) = 5 routed through dot.
-        assert_eq!(grads.sparse(e)[&0], vec![4.0, 4.0]);
-        assert_eq!(grads.sparse(e)[&1], vec![5.0, 0.0]);
+        assert_eq!(grads.row(e, 0), Some(&[4.0, 4.0][..]));
+        assert_eq!(grads.row(e, 1), Some(&[5.0, 0.0][..]));
     }
 }

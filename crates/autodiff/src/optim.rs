@@ -5,9 +5,13 @@
 //! the dense/sparse split of [`GradStore`]: for embedding tables only the
 //! touched rows (and their per-row optimizer state) are updated, which is
 //! the standard sparse-update semantics of DL frameworks.
+//!
+//! Each step is one pass per dense parameter and per touched row: the
+//! gradient update and the decoupled weight decay are applied element by
+//! element, in place, with no copies of gradients or optimizer state.
 
 use crate::param::{GradStore, ParamId, ParamKind, ParamStore};
-use scenerec_tensor::linalg;
+use scenerec_tensor::update::{rmsprop_update, RmsPropStep};
 use scenerec_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -106,33 +110,57 @@ impl OptimState {
 pub struct WeightDecay(pub f32);
 
 impl WeightDecay {
-    fn apply(self, store: &mut ParamStore, grads: &GradStore, lr: f32) {
-        if self.0 == 0.0 {
-            return;
-        }
-        let factor = lr * 2.0 * self.0; // d/dθ λθ² = 2λθ
-        for idx in 0..store.len() {
-            let id = ParamId(idx);
-            match store.param(id).kind() {
-                ParamKind::Dense => {
-                    if grads.dense(id).is_some() {
-                        store
-                            .param_mut(id)
-                            .value_mut()
-                            .map_inplace(|v| v - factor * v);
-                    }
+    /// The decay factor `f = 2·lr·λ` (d/dθ λθ² = 2λθ), applied to each
+    /// updated element as `x − f·x` right after its gradient step; `None`
+    /// when decay is off, so the update never evaluates `x − 0·x`.
+    fn factor(self, lr: f32) -> Option<f32> {
+        (self.0 != 0.0).then_some(lr * 2.0 * self.0)
+    }
+}
+
+/// `x` after the decoupled weight decay of factor `decay`.
+#[inline(always)]
+fn decayed(x: f32, decay: Option<f32>) -> f32 {
+    match decay {
+        Some(f) => x - f * x,
+        None => x,
+    }
+}
+
+/// Runs `update(value, grad, idx, row)` once per dense parameter with a
+/// gradient (`row = None`, whole slices) and once per touched embedding
+/// row (`row = Some(r)`, that row's slices), in store order.
+fn for_each_update(
+    store: &mut ParamStore,
+    grads: &GradStore,
+    mut update: impl FnMut(&mut [f32], &[f32], usize, Option<usize>),
+) {
+    for idx in 0..store.len() {
+        let id = ParamId(idx);
+        let kind = store.param(id).kind();
+        let value = store.param_mut(id).value_mut();
+        match kind {
+            ParamKind::Dense => {
+                if let Some(g) = grads.dense(id) {
+                    assert_eq!(value.shape(), g.shape(), "dense gradient shape mismatch");
+                    update(value.as_mut_slice(), g.as_slice(), idx, None);
                 }
-                ParamKind::Embedding => {
-                    let rows: Vec<u32> = grads.sparse(id).keys().copied().collect();
-                    let value = store.param_mut(id).value_mut();
-                    for r in rows {
-                        for v in value.row_mut(r as usize) {
-                            *v -= factor * *v;
-                        }
-                    }
+            }
+            ParamKind::Embedding => {
+                for (r, g) in grads.rows(id) {
+                    update(value.row_mut(r as usize), g, idx, Some(r as usize));
                 }
             }
         }
+    }
+}
+
+/// The rows of a per-parameter state matrix that line up with one
+/// [`for_each_update`] call.
+fn state_slice(m: &mut Matrix, row: Option<usize>) -> &mut [f32] {
+    match row {
+        Some(r) => m.row_mut(r),
+        None => m.as_mut_slice(),
     }
 }
 
@@ -162,29 +190,12 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore, grads: &GradStore) {
-        for idx in 0..store.len() {
-            let id = ParamId(idx);
-            match store.param(id).kind() {
-                ParamKind::Dense => {
-                    if let Some(g) = grads.dense(id) {
-                        let g = g.clone();
-                        linalg::add_scaled(store.param_mut(id).value_mut(), -self.lr, &g);
-                    }
-                }
-                ParamKind::Embedding => {
-                    let sparse: Vec<(u32, Vec<f32>)> = grads
-                        .sparse(id)
-                        .iter()
-                        .map(|(&r, g)| (r, g.clone()))
-                        .collect();
-                    let value = store.param_mut(id).value_mut();
-                    for (r, g) in sparse {
-                        linalg::axpy(-self.lr, &g, value.row_mut(r as usize));
-                    }
-                }
+        let (lr, decay) = (self.lr, self.weight_decay.factor(self.lr));
+        for_each_update(store, grads, |value, grad, _, _| {
+            for (x, &g) in value.iter_mut().zip(grad) {
+                *x = decayed(*x + -lr * g, decay);
             }
-        }
-        self.weight_decay.apply(store, grads, self.lr);
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -241,32 +252,17 @@ impl Momentum {
 impl Optimizer for Momentum {
     fn step(&mut self, store: &mut ParamStore, grads: &GradStore) {
         self.ensure_state(store);
-        for idx in 0..store.len() {
-            let id = ParamId(idx);
-            let vel = &mut self.velocity[idx];
-            match store.param(id).kind() {
-                ParamKind::Dense => {
-                    if let Some(g) = grads.dense(id) {
-                        // v = beta v + g ; θ -= lr v
-                        vel.map_inplace(|v| v * self.beta);
-                        linalg::add_scaled(vel, 1.0, g);
-                        let delta = vel.clone();
-                        linalg::add_scaled(store.param_mut(id).value_mut(), -self.lr, &delta);
-                    }
-                }
-                ParamKind::Embedding => {
-                    for (&r, g) in grads.sparse(id) {
-                        let vrow = vel.row_mut(r as usize);
-                        linalg::scale(self.beta, vrow);
-                        linalg::axpy(1.0, g, vrow);
-                        let vrow = vel.row(r as usize).to_vec();
-                        let value = store.param_mut(id).value_mut();
-                        linalg::axpy(-self.lr, &vrow, value.row_mut(r as usize));
-                    }
-                }
+        let (lr, beta, decay) = (self.lr, self.beta, self.weight_decay.factor(self.lr));
+        let velocity = &mut self.velocity;
+        for_each_update(store, grads, |value, grad, idx, row| {
+            // v = beta v + g ; θ -= lr v
+            let vel = state_slice(&mut velocity[idx], row);
+            for ((x, v), &g) in value.iter_mut().zip(vel).zip(grad) {
+                *v *= beta;
+                *v += 1.0 * g;
+                *x = decayed(*x + -lr * *v, decay);
             }
-        }
-        self.weight_decay.apply(store, grads, self.lr);
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -348,41 +344,16 @@ impl RmsProp {
 impl Optimizer for RmsProp {
     fn step(&mut self, store: &mut ParamStore, grads: &GradStore) {
         self.ensure_state(store);
-        let (rho, eps, lr) = (self.rho, self.eps, self.lr);
-        for idx in 0..store.len() {
-            let id = ParamId(idx);
-            let cache = &mut self.cache[idx];
-            match store.param(id).kind() {
-                ParamKind::Dense => {
-                    if let Some(g) = grads.dense(id) {
-                        let value = store.param_mut(id).value_mut();
-                        for ((c, &gv), v) in cache
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(g.as_slice())
-                            .zip(value.as_mut_slice())
-                        {
-                            *c = rho * *c + (1.0 - rho) * gv * gv;
-                            *v -= lr * gv / (c.sqrt() + eps);
-                        }
-                    }
-                }
-                ParamKind::Embedding => {
-                    for (&r, g) in grads.sparse(id) {
-                        let crow = cache.row_mut(r as usize);
-                        for (c, &gv) in crow.iter_mut().zip(g) {
-                            *c = rho * *c + (1.0 - rho) * gv * gv;
-                        }
-                        let crow = cache.row(r as usize).to_vec();
-                        let value = store.param_mut(id).value_mut();
-                        for ((v, &gv), c) in value.row_mut(r as usize).iter_mut().zip(g).zip(crow) {
-                            *v -= lr * gv / (c.sqrt() + eps);
-                        }
-                    }
-                }
-            }
-        }
-        self.weight_decay.apply(store, grads, self.lr);
+        let step = RmsPropStep {
+            rho: self.rho,
+            lr: self.lr,
+            eps: self.eps,
+            decay: self.weight_decay.factor(self.lr),
+        };
+        let cache = &mut self.cache;
+        for_each_update(store, grads, |value, grad, idx, row| {
+            rmsprop_update(value, state_slice(&mut cache[idx], row), grad, step);
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -465,54 +436,19 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-        for idx in 0..store.len() {
-            let id = ParamId(idx);
-            let m = &mut self.m[idx];
-            let v = &mut self.v[idx];
-            match store.param(id).kind() {
-                ParamKind::Dense => {
-                    if let Some(g) = grads.dense(id) {
-                        let value = store.param_mut(id).value_mut();
-                        for (((mv, vv), &gv), p) in m
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(v.as_mut_slice())
-                            .zip(g.as_slice())
-                            .zip(value.as_mut_slice())
-                        {
-                            *mv = b1 * *mv + (1.0 - b1) * gv;
-                            *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                            let mhat = *mv / bc1;
-                            let vhat = *vv / bc2;
-                            *p -= lr * mhat / (vhat.sqrt() + eps);
-                        }
-                    }
-                }
-                ParamKind::Embedding => {
-                    for (&r, g) in grads.sparse(id) {
-                        let mrow = m.row_mut(r as usize);
-                        for (mv, &gv) in mrow.iter_mut().zip(g) {
-                            *mv = b1 * *mv + (1.0 - b1) * gv;
-                        }
-                        let vrow = v.row_mut(r as usize);
-                        for (vv, &gv) in vrow.iter_mut().zip(g) {
-                            *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                        }
-                        let mrow = m.row(r as usize).to_vec();
-                        let vrow = v.row(r as usize).to_vec();
-                        let value = store.param_mut(id).value_mut();
-                        for ((p, mv), vv) in
-                            value.row_mut(r as usize).iter_mut().zip(mrow).zip(vrow)
-                        {
-                            let mhat = mv / bc1;
-                            let vhat = vv / bc2;
-                            *p -= lr * mhat / (vhat.sqrt() + eps);
-                        }
-                    }
-                }
+        let decay = self.weight_decay.factor(lr);
+        let (m, v) = (&mut self.m, &mut self.v);
+        for_each_update(store, grads, |value, grad, idx, row| {
+            let mrow = state_slice(&mut m[idx], row);
+            let vrow = state_slice(&mut v[idx], row);
+            for (((p, mv), vv), &gv) in value.iter_mut().zip(mrow).zip(vrow).zip(grad) {
+                *mv = b1 * *mv + (1.0 - b1) * gv;
+                *vv = b2 * *vv + (1.0 - b2) * gv * gv;
+                let mhat = *mv / bc1;
+                let vhat = *vv / bc2;
+                *p = decayed(*p - lr * mhat / (vhat.sqrt() + eps), decay);
             }
-        }
-        self.weight_decay.apply(store, grads, self.lr);
+        });
     }
 
     fn learning_rate(&self) -> f32 {

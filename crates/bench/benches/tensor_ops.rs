@@ -107,14 +107,6 @@ fn bench_softmax_cosine(c: &mut Criterion) {
     });
 }
 
-fn bench_outer(c: &mut Criterion) {
-    let x: Vec<f32> = (0..64).map(|i| i as f32 * 0.01).collect();
-    let y: Vec<f32> = (0..128).map(|i| i as f32 * 0.02).collect();
-    c.bench_function("outer_64x128", |b| {
-        b.iter(|| black_box(linalg::outer(black_box(&x), black_box(&y))))
-    });
-}
-
 fn bench_transpose(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let m = Initializer::XavierUniform.init(128, 64, &mut rng);
@@ -130,7 +122,6 @@ criterion_group!(
     bench_gemm_sweep,
     bench_row_aggregation,
     bench_softmax_cosine,
-    bench_outer,
     bench_transpose
 );
 criterion_main!(benches);

@@ -3,7 +3,12 @@
 //! the threaded path, and the serve scoring kernel (`score_bt`), across
 //! a size sweep — plus one `mlp_head` row at the cold-serving shape: the
 //! Eq. 14 rating head (64 → 32 ReLU → 1) over 50,000 items, scored by
-//! the layer-by-layer `score_bt` stack and by the fused head kernel.
+//! the layer-by-layer `score_bt` stack and by the fused head kernel —
+//! and one `rmsprop_update` row: the fused RMSProp + weight-decay update
+//! over 10,465 elements (the dense parameters of the laptop-scale
+//! SceneRec), on a normal-valued state and on one where about 18% of the
+//! squared-gradient cache entries are subnormal (dead units whose cache
+//! decays geometrically toward zero, as in training).
 //!
 //! ```text
 //! cargo run -p scenerec-bench --bin kernels --release -- \
@@ -14,7 +19,9 @@
 //! per-size wall times, GFLOP/s, and three speedups per size: blocked
 //! over naive, SIMD over forced-scalar (the micro-kernel win), and
 //! threaded over naive. The `mlp_head` row asserts that both paths give
-//! bit-identical scores on both backends before it reports GFLOP/s. The
+//! bit-identical scores on both backends before it reports GFLOP/s, and
+//! the `rmsprop_update` row that both backends leave bit-identical
+//! parameters and caches before it reports nanoseconds per pass. The
 //! manifest records which backend the runtime
 //! dispatch resolved (`kernel_backend`), so diffs across machines with
 //! different SIMD features are detectable. This file is the evidence
@@ -27,6 +34,7 @@ use scenerec_bench::cli::Args;
 use scenerec_obs::RunManifest;
 use scenerec_tensor::numeric::Act;
 use scenerec_tensor::score::{HeadLayer, MlpHead};
+use scenerec_tensor::update::{rmsprop_update_with_backend, RmsPropStep};
 use scenerec_tensor::{backend_name, gemm, linalg, par, score, Backend, Initializer, Matrix};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -71,6 +79,22 @@ struct MlpHeadRow {
     fused_speedup: f64,
 }
 
+/// The fused RMSProp update, best single pass per backend and state.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct RmsPropRow {
+    elements: usize,
+    /// Share of cache entries that are subnormal in the second state.
+    subnormal_share: f64,
+    normal_scalar_ns: u64,
+    normal_simd_ns: u64,
+    subnormal_scalar_ns: u64,
+    subnormal_simd_ns: u64,
+    /// Forced-scalar over dispatched, normal-valued state.
+    normal_simd_speedup: f64,
+    /// Forced-scalar over dispatched, subnormal-heavy state.
+    subnormal_simd_speedup: f64,
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelsConfig {
     sizes: Vec<usize>,
@@ -82,6 +106,7 @@ struct KernelsConfig {
 struct KernelResults {
     rows: Vec<KernelRow>,
     mlp_head: MlpHeadRow,
+    rmsprop_update: RmsPropRow,
     /// `gemm_simd_speedup` at the largest swept size — the headline
     /// micro-kernel number (the tentpole target is >= 1.5 at 512^2 on
     /// AVX2 hosts; scalar-only hosts report ~1.0 here by construction).
@@ -212,6 +237,86 @@ fn mlp_head_row(reps: usize, rng: &mut StdRng) -> MlpHeadRow {
     }
 }
 
+/// The dense parameter count of the laptop-scale SceneRec.
+const RMSPROP_ELEMENTS: usize = 10_465;
+/// Timed passes per rep; each restores the state first, untimed.
+const RMSPROP_PASSES: usize = 32;
+
+/// One optimizer state: parameters, squared-gradient cache, gradient.
+type UpdateState = (Vec<f32>, Vec<f32>, Vec<f32>);
+
+/// A seeded state; `subnormal_share` of the entries are dead units: zero
+/// gradient and a subnormal cache.
+fn rmsprop_state(subnormal_share: f64, rng: &mut StdRng) -> UpdateState {
+    use rand::Rng;
+    let n = RMSPROP_ELEMENTS;
+    let x = (0..n).map(|_| rng.gen_range(-0.2f32..0.2)).collect();
+    let mut c: Vec<f32> = (0..n).map(|_| rng.gen_range(1e-8f32..1e-3)).collect();
+    let mut g: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.05f32..0.05)).collect();
+    for (c, g) in c.iter_mut().zip(g.iter_mut()) {
+        if rng.gen_bool(subnormal_share) {
+            *c = f32::from_bits(rng.gen_range(1u32..0x0080_0000));
+            *g = 0.0;
+        }
+    }
+    (x, c, g)
+}
+
+fn rmsprop_row(reps: usize, rng: &mut StdRng) -> RmsPropRow {
+    // Table 2's settings: lr 1e-3, λ 1e-6, decay factor 2·lr·λ.
+    let step = RmsPropStep {
+        rho: 0.9,
+        lr: 1e-3,
+        eps: 1e-8,
+        decay: Some(2.0 * 1e-3 * 1e-6),
+    };
+    let states = [rmsprop_state(0.0, rng), rmsprop_state(0.18, rng)];
+    let pass = |state: &UpdateState, backend: Backend| {
+        let (mut x, mut c) = (state.0.clone(), state.1.clone());
+        rmsprop_update_with_backend(&mut x, &mut c, &state.2, step, backend);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        (bits(&x), bits(&c))
+    };
+    for state in &states {
+        assert_eq!(
+            pass(state, Backend::Scalar),
+            pass(state, Backend::Avx2),
+            "rmsprop_update backends disagree"
+        );
+    }
+    let time = |state: &UpdateState, backend: Backend| {
+        let (mut x, mut c) = (state.0.clone(), state.1.clone());
+        let mut best = u64::MAX;
+        for _ in 0..reps.max(1) * RMSPROP_PASSES {
+            x.copy_from_slice(&state.0);
+            c.copy_from_slice(&state.1);
+            let start = Instant::now();
+            rmsprop_update_with_backend(&mut x, &mut c, &state.2, step, backend);
+            best = best.min(start.elapsed().as_nanos() as u64);
+        }
+        assert!(x.iter().all(|v| v.is_finite()));
+        best
+    };
+    let simd = scenerec_tensor::backend();
+    let [normal, subnormal] = &states;
+    let subnormal_share =
+        subnormal.1.iter().filter(|c| c.is_subnormal()).count() as f64 / RMSPROP_ELEMENTS as f64;
+    let normal_scalar_ns = time(normal, Backend::Scalar);
+    let normal_simd_ns = time(normal, simd);
+    let subnormal_scalar_ns = time(subnormal, Backend::Scalar);
+    let subnormal_simd_ns = time(subnormal, simd);
+    RmsPropRow {
+        elements: RMSPROP_ELEMENTS,
+        subnormal_share,
+        normal_scalar_ns,
+        normal_simd_ns,
+        subnormal_scalar_ns,
+        subnormal_simd_ns,
+        normal_simd_speedup: normal_scalar_ns as f64 / normal_simd_ns.max(1) as f64,
+        subnormal_simd_speedup: subnormal_scalar_ns as f64 / subnormal_simd_ns.max(1) as f64,
+    }
+}
+
 fn main() {
     let args = Args::from_env();
     let sizes: Vec<usize> = args
@@ -307,6 +412,18 @@ fn main() {
         mlp_head.fused_speedup,
     );
 
+    let rmsprop_update = rmsprop_row(reps, &mut rng);
+    println!(
+        "rmsprop_update ({} elements): normal {:.1}/{:.1} us, {:.0}% subnormal cache {:.1}/{:.1} us (scalar/{})",
+        rmsprop_update.elements,
+        rmsprop_update.normal_scalar_ns as f64 / 1e3,
+        rmsprop_update.normal_simd_ns as f64 / 1e3,
+        100.0 * rmsprop_update.subnormal_share,
+        rmsprop_update.subnormal_scalar_ns as f64 / 1e3,
+        rmsprop_update.subnormal_simd_ns as f64 / 1e3,
+        backend_name(),
+    );
+
     let headline = rows.last().map(|r| r.gemm_simd_speedup).unwrap_or(1.0);
     println!(
         "\n{} GEMM over forced-scalar at the largest size: {headline:.2}x",
@@ -324,6 +441,7 @@ fn main() {
         .with_results(&KernelResults {
             rows,
             mlp_head,
+            rmsprop_update,
             gemm_simd_speedup_at_max_size: headline,
         })
         .capture_telemetry();

@@ -28,6 +28,8 @@
 //! * **Quantized serving storage** ([`quant`]): bit-level f16 and
 //!   per-row affine int8 matrices with mixed-precision dot kernels for
 //!   the frozen engines.
+//! * **Fused optimizer updates** ([`update`]): the RMSProp step with its
+//!   decoupled weight decay in one pass, scalar and AVX2 bit-identical.
 
 // The SIMD backends require unsafe; every unsafe operation inside an
 // unsafe fn must still be wrapped in an explicit `unsafe {}` block
@@ -47,6 +49,7 @@ pub mod score;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod simd;
 pub mod stats;
+pub mod update;
 
 pub use dispatch::{backend, backend_name, Backend};
 pub use error::{ShapeError, TensorResult};

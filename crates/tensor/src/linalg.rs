@@ -310,21 +310,6 @@ fn elementwise(
     Matrix::from_vec(a.rows(), a.cols(), data)
 }
 
-/// Outer product `x ⊗ y` producing an `x.len() x y.len()` matrix.
-pub fn outer(x: &[f32], y: &[f32]) -> Matrix {
-    let mut out = Matrix::zeros(x.len(), y.len());
-    for (r, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let row = out.row_mut(r);
-        for (ov, &yv) in row.iter_mut().zip(y) {
-            *ov = xv * yv;
-        }
-    }
-    out
-}
-
 /// `A += alpha * B` in place (shape-checked).
 pub fn try_add_scaled(a: &mut Matrix, alpha: f32, b: &Matrix) -> TensorResult<()> {
     if a.shape() != b.shape() {
@@ -456,13 +441,6 @@ mod tests {
         assert!(try_add(&a, &b).is_err());
         assert!(try_sub(&a, &b).is_err());
         assert!(try_hadamard(&a, &b).is_err());
-    }
-
-    #[test]
-    fn outer_product() {
-        let m = outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
-        assert_eq!(m.shape(), (2, 3));
-        assert_eq!(m.row(1), &[6.0, 8.0, 10.0]);
     }
 
     #[test]

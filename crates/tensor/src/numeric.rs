@@ -137,25 +137,40 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Gradient of `cosine_similarity(a, b)` with respect to `a`.
+/// Both gradients of `cosine_similarity(a, b)`, each scaled by `scale`
+/// (the upstream gradient), from one evaluation of `|a|²`, `|b|²` and
+/// `a·b`.
 ///
-/// `d/da cos = b/(|a||b|) - cos * a/|a|^2`. Returns zeros when either norm
-/// vanishes (consistent with the forward convention above).
-pub fn cosine_grad_wrt_a(a: &[f32], b: &[f32]) -> Vec<f32> {
+/// `d/da cos = b/(|a||b|) - cos · a/|a|²`, and symmetrically for `b`.
+/// Every expression is the one the per-operand form evaluates — the
+/// products `|a||b|` and `a_i b_i` commute exactly — so the result is
+/// bit-identical to computing `d/da` and `d/db` separately. Returns
+/// `0 · scale` everywhere when either norm vanishes (consistent with the
+/// forward convention above).
+pub fn cosine_grads(a: &[f32], b: &[f32], scale: f32) -> (Vec<f32>, Vec<f32>) {
     assert_eq!(a.len(), b.len(), "cosine length mismatch");
     let na2: f32 = a.iter().map(|v| v * v).sum();
     let nb2: f32 = b.iter().map(|v| v * v).sum();
     let na = na2.sqrt();
     let nb = nb2.sqrt();
     if na * nb <= f32::EPSILON {
-        return vec![0.0; a.len()];
+        let zeros = vec![0.0 * scale; a.len()];
+        return (zeros.clone(), zeros);
     }
     let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-    let cos = dot / (na * nb);
-    a.iter()
+    let nab = na * nb;
+    let cos = dot / nab;
+    let ga = a
+        .iter()
         .zip(b)
-        .map(|(&x, &y)| y / (na * nb) - cos * x / na2)
-        .collect()
+        .map(|(&x, &y)| (y / nab - cos * x / na2) * scale)
+        .collect();
+    let gb = a
+        .iter()
+        .zip(b)
+        .map(|(&x, &y)| (x / nab - cos * y / nb2) * scale)
+        .collect();
+    (ga, gb)
 }
 
 /// Clamps `x` into `[lo, hi]`.
@@ -308,14 +323,17 @@ mod tests {
     #[test]
     fn cosine_zero_vector_is_neutral() {
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
-        assert_eq!(cosine_grad_wrt_a(&[0.0, 0.0], &[1.0, 2.0]), vec![0.0, 0.0]);
+        assert_eq!(
+            cosine_grads(&[0.0, 0.0], &[1.0, 2.0], 1.0),
+            (vec![0.0, 0.0], vec![0.0, 0.0])
+        );
     }
 
     #[test]
     fn cosine_grad_matches_finite_difference() {
         let a = [0.3f32, -0.7, 1.2];
         let b = [0.9f32, 0.1, -0.4];
-        let g = cosine_grad_wrt_a(&a, &b);
+        let (g, _) = cosine_grads(&a, &b, 1.0);
         let eps = 1e-3f32;
         for i in 0..a.len() {
             let mut ap = a;
@@ -328,6 +346,51 @@ mod tests {
                 "grad[{i}]: fd={fd} analytic={}",
                 g[i]
             );
+        }
+    }
+
+    /// The per-operand gradient, evaluated on its own: what the shared
+    /// evaluation in [`cosine_grads`] must reproduce bit for bit.
+    fn grad_wrt_first(a: &[f32], b: &[f32]) -> Vec<f32> {
+        let na2: f32 = a.iter().map(|v| v * v).sum();
+        let nb2: f32 = b.iter().map(|v| v * v).sum();
+        let (na, nb) = (na2.sqrt(), nb2.sqrt());
+        if na * nb <= f32::EPSILON {
+            return vec![0.0; a.len()];
+        }
+        let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
+        let cos = dot / (na * nb);
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| y / (na * nb) - cos * x / na2)
+            .collect()
+    }
+
+    #[test]
+    fn shared_cosine_grads_equal_per_operand_grads_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seed = 0x9e37_79b9u32;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 17;
+            seed ^= seed << 5;
+            (seed % 2001) as f32 / 1000.0 - 1.0
+        };
+        for n in [1usize, 2, 3, 8, 13, 32] {
+            for scale in [1.0f32, -0.37, 0.0, -0.0, 2.5e-39] {
+                let a: Vec<f32> = (0..n).map(|_| next()).collect();
+                let b: Vec<f32> = (0..n).map(|_| next()).collect();
+                let zeros = vec![0.0; n];
+                for (x, y) in [(&a, &b), (&zeros, &b), (&a, &zeros)] {
+                    let (ga, gb) = cosine_grads(x, y, scale);
+                    let scaled = |mut g: Vec<f32>| {
+                        g.iter_mut().for_each(|v| *v *= scale);
+                        g
+                    };
+                    assert_eq!(bits(&ga), bits(&scaled(grad_wrt_first(x, y))));
+                    assert_eq!(bits(&gb), bits(&scaled(grad_wrt_first(y, x))));
+                }
+            }
         }
     }
 }

@@ -20,6 +20,7 @@ use crate::error::TensorResult;
 use crate::gemm::{MR, NR};
 use crate::numeric::Act;
 use crate::score::{reduce_lanes, MlpHead, PackedLayer, LANES};
+use crate::update::{dead_lane_rho_mantissa, RmsPropStep};
 use core::arch::x86_64::*;
 
 /// Dot product with [`crate::linalg::dot`]'s exact float order: one
@@ -378,6 +379,161 @@ unsafe fn head_row_avx2(l: &PackedLayer, blk: &[f32], x: &[f32], lead: &[f32; LA
     }
     let v = reduce_lanes(&lanes) + tail;
     l.act.apply(v + blk[p.bias])
+}
+
+/// The RMSProp update ([`crate::update::rmsprop_update`]): each lane
+/// replays `update::rmsprop_elem`'s operation sequence with correctly
+/// rounded `mul`/`add`/`sqrt`/`div`/`sub` (no FMA), eight elements per
+/// step; the tail runs `rmsprop_elem` itself.
+///
+/// Dead lanes (`g = ±0`, subnormal cache) take the exact shortcut of
+/// `update::dead_lane_rho_mantissa` when the step allows it: their float ops
+/// run on a normal stand-in cache, so no op sees a subnormal, and their
+/// new cache comes from the integer product `dead_cache_avx2`.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`, and pass three slices of
+// equal length.
+#[target_feature(enable = "avx2,fma,f16c")]
+pub(crate) unsafe fn rmsprop_update_avx2(
+    value: &mut [f32],
+    cache: &mut [f32],
+    grad: &[f32],
+    step: RmsPropStep,
+) {
+    debug_assert!(value.len() == grad.len() && cache.len() == grad.len());
+    const LANES: usize = 8;
+    let main = grad.len() - grad.len() % LANES;
+    let rho = _mm256_set1_ps(step.rho);
+    let one_minus_rho = _mm256_set1_ps(1.0 - step.rho);
+    let lr = _mm256_set1_ps(step.lr);
+    let eps = _mm256_set1_ps(step.eps);
+    // Flags beside splatted constants rather than `Option::map`: lint
+    // rule H1 resolves method calls by name, and `map` would resolve to
+    // the allocating `Matrix::map`.
+    let (decay_on, decay) = match step.decay {
+        Some(f) => (true, _mm256_set1_ps(f)),
+        None => (false, _mm256_setzero_ps()),
+    };
+    let (dead_on, rho_mantissa) = match dead_lane_rho_mantissa(step) {
+        Some(r) => (true, _mm256_set1_epi64x(i64::from(r))),
+        None => (false, _mm256_setzero_si256()),
+    };
+    let (zero, one) = (_mm256_setzero_si256(), _mm256_set1_ps(1.0));
+    let (abs_mask, min_normal) = (
+        _mm256_set1_epi32(0x7fff_ffff),
+        _mm256_set1_epi32(0x0080_0000),
+    );
+    let (px, pc, pg) = (value.as_mut_ptr(), cache.as_mut_ptr(), grad.as_ptr());
+    let mut i = 0;
+    while i < main {
+        // SAFETY: i + LANES <= main <= grad.len(), and the caller
+        // guarantees value.len() == cache.len() == grad.len(), so all
+        // three 8-lane loads read in bounds.
+        let (x, c, g) = unsafe {
+            (
+                _mm256_loadu_ps(px.add(i)),
+                _mm256_loadu_ps(pc.add(i)),
+                _mm256_loadu_ps(pg.add(i)),
+            )
+        };
+        // Dead lanes: cache bits in 1..0x80_0000 and |g| bits == 0.
+        let dead_mask = if dead_on {
+            let ci = _mm256_castps_si256(c);
+            let subnormal = _mm256_and_si256(
+                _mm256_cmpgt_epi32(ci, zero),
+                _mm256_cmpgt_epi32(min_normal, ci),
+            );
+            let g_zero =
+                _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_castps_si256(g), abs_mask), zero);
+            _mm256_castsi256_ps(_mm256_and_si256(subnormal, g_zero))
+        } else {
+            _mm256_castsi256_ps(zero)
+        };
+        let any_dead = _mm256_movemask_ps(dead_mask) != 0;
+        let c_in = if any_dead {
+            _mm256_blendv_ps(c, one, dead_mask)
+        } else {
+            c
+        };
+        let c_new = _mm256_add_ps(
+            _mm256_mul_ps(rho, c_in),
+            _mm256_mul_ps(_mm256_mul_ps(one_minus_rho, g), g),
+        );
+        let x = _mm256_sub_ps(
+            x,
+            _mm256_div_ps(
+                _mm256_mul_ps(lr, g),
+                _mm256_add_ps(_mm256_sqrt_ps(c_new), eps),
+            ),
+        );
+        let x = if decay_on {
+            _mm256_sub_ps(x, _mm256_mul_ps(decay, x))
+        } else {
+            x
+        };
+        let c_new = if any_dead {
+            // SAFETY: this function's own avx2 guarantee covers the call.
+            let exact = unsafe { dead_cache_avx2(c, rho_mantissa) };
+            _mm256_blendv_ps(c_new, exact, dead_mask)
+        } else {
+            c_new
+        };
+        // SAFETY: same in-bounds argument as the loads above; `value`
+        // and `cache` are distinct `&mut` slices, so the stores alias
+        // nothing else.
+        unsafe {
+            _mm256_storeu_ps(pc.add(i), c_new);
+            _mm256_storeu_ps(px.add(i), x);
+        }
+        i += LANES;
+    }
+    for ((x, c), &g) in value[main..]
+        .iter_mut()
+        .zip(cache[main..].iter_mut())
+        .zip(&grad[main..])
+    {
+        crate::update::rmsprop_elem(x, c, g, step);
+    }
+}
+
+/// `ρ·c` for subnormal caches `c = m·2⁻¹⁴⁹`, exactly as the float
+/// multiply rounds it: with `ρ = R·2⁻²⁴` (`R` the 24-bit significand,
+/// `ρ ∈ [0.5, 1)`) the product is `R·m/2²⁴` units of `2⁻¹⁴⁹`, rounded to
+/// nearest-even, and a subnormal's bit pattern is its unit count. The
+/// 48-bit products are formed in 64-bit lanes, even and odd f32 lanes
+/// separately. Lanes that are not subnormal produce garbage the caller
+/// discards.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2` (avx2 verified at runtime).
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn dead_cache_avx2(c: __m256, rho_mantissa: __m256i) -> __m256 {
+    let ci = _mm256_castps_si256(c);
+    let even = _mm256_mul_epu32(ci, rho_mantissa);
+    let odd = _mm256_mul_epu32(_mm256_srli_epi64::<32>(ci), rho_mantissa);
+    // SAFETY: this function's own avx2 guarantee covers both calls.
+    let (even, odd) = unsafe { (round_shift24_avx2(even), round_shift24_avx2(odd)) };
+    _mm256_castsi256_ps(_mm256_blend_epi32::<0b1010_1010>(
+        even,
+        _mm256_slli_epi64::<32>(odd),
+    ))
+}
+
+/// `p / 2²⁴` rounded to nearest, ties to even, per 64-bit lane (`p <
+/// 2⁶³`): adding `2²³ - 1` plus the kept quotient's low bit carries into
+/// the quotient exactly when the remainder exceeds half, or equals half
+/// with an odd quotient.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2` (avx2 verified at runtime).
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn round_shift24_avx2(p: __m256i) -> __m256i {
+    let odd = _mm256_and_si256(_mm256_srli_epi64::<24>(p), _mm256_set1_epi64x(1));
+    let biased = _mm256_add_epi64(_mm256_add_epi64(p, _mm256_set1_epi64x((1 << 23) - 1)), odd);
+    _mm256_srli_epi64::<24>(biased)
 }
 
 #[cfg(test)]

@@ -672,3 +672,208 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Training-step kernels: the fused RMSProp update and the row arena
+// ---------------------------------------------------------------------
+
+use scenerec_autodiff::{GradStore, ParamKind, ParamStore};
+use scenerec_tensor::update::{rmsprop_update_with_backend, RmsPropStep};
+use std::collections::BTreeMap;
+
+/// Optimizer-state values: ordinary magnitudes, `±0`, signed subnormals,
+/// gradients below `2^-60` (whose squares underflow), `±inf` and NaN.
+fn update_values(seed: u64, n: usize) -> Vec<f32> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = splitmix64(state);
+            let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+            match (state >> 1) % 12 {
+                0 => -0.0,
+                1 => 0.0,
+                2 | 3 => sign * f32::from_bits(1 + ((state >> 8) % 0x7f_ffff) as u32),
+                4 => sign * f32::from_bits(0x0d80_0000 + ((state >> 8) % 0x0100_0000) as u32),
+                5 => sign * f32::INFINITY,
+                6 => f32::NAN,
+                _ => sign * ((state >> 40) as f32 / 16_777_216.0 - 0.5),
+            }
+        })
+        .collect()
+}
+
+/// The RMSProp step written out per element, in the order the optimizer
+/// has always used: the cache update, the gradient step, then (when
+/// λ > 0) the decoupled decay.
+fn rmsprop_reference(x: &mut [f32], c: &mut [f32], g: &[f32], step: RmsPropStep) {
+    for ((x, c), &g) in x.iter_mut().zip(c.iter_mut()).zip(g) {
+        *c = step.rho * *c + (1.0 - step.rho) * g * g;
+        *x -= step.lr * g / (c.sqrt() + step.eps);
+    }
+    if let Some(f) = step.decay {
+        for x in x.iter_mut() {
+            *x -= f * *x;
+        }
+    }
+}
+
+const RHOS: [f32; 4] = [0.9, 0.99, 0.5, 0.0];
+const LRS: [f32; 3] = [1e-3, 1e-2, 0.5];
+const LAMBDAS: [f32; 3] = [0.0, 1e-6, 1e-2];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The kernel equals the written-out scalar reference bit for bit on
+    /// both backends, for every length 0..37 (all AVX2 tails), with and
+    /// without weight decay, on states full of `±0`, subnormals, squares
+    /// that underflow, infinities and NaN.
+    #[test]
+    fn rmsprop_update_matches_scalar_reference_bitwise(
+        seed in 0u64..1_000_000,
+        len in 0usize..37,
+        rho in 0usize..4,
+        lr in 0usize..3,
+        lambda in 0usize..3,
+        nonnegative_cache in 0u32..2,
+    ) {
+        let lambda = LAMBDAS[lambda];
+        let step = RmsPropStep {
+            rho: RHOS[rho],
+            lr: LRS[lr],
+            eps: 1e-8,
+            decay: (lambda != 0.0).then(|| LRS[lr] * 2.0 * lambda),
+        };
+        let x0 = update_values(seed, len);
+        let mut c0 = update_values(seed ^ 0x1f, len);
+        if nonnegative_cache == 1 {
+            c0.iter_mut().for_each(|c| *c = c.abs());
+        }
+        let g = update_values(seed ^ 0x2e, len);
+        let (mut x_want, mut c_want) = (x0.clone(), c0.clone());
+        rmsprop_reference(&mut x_want, &mut c_want, &g, step);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            let (mut x, mut c) = (x0.clone(), c0.clone());
+            rmsprop_update_with_backend(&mut x, &mut c, &g, step, backend);
+            prop_assert_eq!(bits(&c), bits(&c_want), "cache, backend={}", backend.name());
+            prop_assert_eq!(bits(&x), bits(&x_want), "value, backend={}", backend.name());
+        }
+    }
+}
+
+/// Two embedding tables (dims 3 and 5) behind one dense parameter.
+fn arena_store() -> ParamStore {
+    let mut store = ParamStore::new();
+    store.add("w", ParamKind::Dense, Matrix::zeros(2, 2));
+    store.add("a", ParamKind::Embedding, Matrix::zeros(64, 3));
+    store.add("b", ParamKind::Embedding, Matrix::zeros(200, 5));
+    store
+}
+
+/// One `add_row_scaled` call: `(table 1|2, row, alpha index, seed)`.
+type RowOp = (usize, u32, usize, u64);
+
+const ALPHAS: [f32; 4] = [1.0, 0.5, -1.0, 0.25];
+
+fn row_ops() -> impl Strategy<Value = Vec<RowOp>> {
+    prop::collection::vec((1usize..3, 0u32..40, 0usize..4, 0u64..1_000_000), 0..60)
+}
+
+fn apply_ops(store: &ParamStore, ops: &[RowOp]) -> GradStore {
+    let mut g = GradStore::new(store);
+    for &(table, row, alpha, seed) in ops {
+        let alpha = ALPHAS[alpha];
+        let id = store.iter().nth(table).unwrap().0;
+        let dim = store.value(id).cols();
+        g.add_row_scaled(id, row, alpha, &adversarial_values(seed, dim));
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever the insertion order, the arena iterates rows in ascending
+    /// order with the same sums as an ordered row map fed the same calls,
+    /// and `global_norm` equals the row-map-order sum bit for bit.
+    #[test]
+    fn row_arena_matches_ordered_row_map(ops in row_ops(), dense in -2.0f32..2.0) {
+        let store = arena_store();
+        let mut g = apply_ops(&store, &ops);
+        let w = store.lookup("w").unwrap();
+        g.add_dense(w, &Matrix::full(2, 2, dense));
+
+        let mut model: Vec<BTreeMap<u32, Vec<f32>>> = vec![BTreeMap::new(); 3];
+        for &(table, row, alpha, seed) in &ops {
+            let alpha = ALPHAS[alpha];
+            let dim = store.value(store.iter().nth(table).unwrap().0).cols();
+            let slot = model[table].entry(row).or_insert_with(|| vec![0.0; dim]);
+            for (s, v) in slot.iter_mut().zip(adversarial_values(seed, dim)) {
+                *s += alpha * v;
+            }
+        }
+        let mut sq = 0.0f32;
+        sq += g.dense(w).unwrap().as_slice().iter().map(|v| v * v).sum::<f32>();
+        for (table, rows) in model.iter().enumerate() {
+            let id = store.iter().nth(table).unwrap().0;
+            let got: Vec<(u32, Vec<u32>)> = g
+                .rows(id)
+                .map(|(r, v)| (r, v.iter().map(|f| f.to_bits()).collect()))
+                .collect();
+            let want: Vec<(u32, Vec<u32>)> = rows
+                .iter()
+                .map(|(&r, v)| (r, v.iter().map(|f| f.to_bits()).collect()))
+                .collect();
+            prop_assert_eq!(got, want);
+            for row in rows.values() {
+                sq += row.iter().map(|v| v * v).sum::<f32>();
+            }
+        }
+        prop_assert_eq!(g.global_norm().to_bits(), sq.sqrt().to_bits());
+    }
+
+    /// Per-example stores merged in example order into a reused (cleared)
+    /// accumulator give the bits of the same merge over ordered row maps
+    /// (fresh rows start at `+0.0`, then `slot += 1.0 * x`), wherever the
+    /// example boundaries fall.
+    #[test]
+    fn row_arena_merge_matches_ordered_row_map_merge(
+        ops in row_ops(),
+        cuts in prop::collection::vec(0usize..60, 0..6),
+    ) {
+        let store = arena_store();
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(ops.len())).collect();
+        bounds.extend([0, ops.len()]);
+        bounds.sort_unstable();
+        let mut acc = apply_ops(&store, &ops[..ops.len() / 2]);
+        acc.clear();
+        let mut model: Vec<BTreeMap<u32, Vec<f32>>> = vec![BTreeMap::new(); 3];
+        for span in bounds.windows(2) {
+            let example = apply_ops(&store, &ops[span[0]..span[1]]);
+            acc.merge(&example);
+            for (table, rows) in model.iter_mut().enumerate().skip(1) {
+                let id = store.iter().nth(table).unwrap().0;
+                let dim = store.value(id).cols();
+                for (r, v) in example.rows(id) {
+                    let slot = rows.entry(r).or_insert_with(|| vec![0.0; dim]);
+                    for (s, x) in slot.iter_mut().zip(v) {
+                        *s += 1.0 * x;
+                    }
+                }
+            }
+        }
+        for (table, rows) in model.iter().enumerate().skip(1) {
+            let id = store.iter().nth(table).unwrap().0;
+            let got: Vec<(u32, Vec<u32>)> = acc
+                .rows(id)
+                .map(|(r, v)| (r, v.iter().map(|f| f.to_bits()).collect()))
+                .collect();
+            let want: Vec<(u32, Vec<u32>)> = rows
+                .iter()
+                .map(|(&r, v)| (r, v.iter().map(|f| f.to_bits()).collect()))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+}
