@@ -4,7 +4,9 @@
 //! a size sweep — plus one `mlp_head` row at the cold-serving shape: the
 //! Eq. 14 rating head (64 → 32 ReLU → 1) over 50,000 items, scored by
 //! the layer-by-layer `score_bt` stack and by the fused head kernel —
-//! and one `rmsprop_update` row: the fused RMSProp + weight-decay update
+//! `mlp_head_batch` rows: the same head and catalog scored for batches
+//! of 1, 8 and 32 users in one call, forced-scalar vs dispatched — and
+//! one `rmsprop_update` row: the fused RMSProp + weight-decay update
 //! over 10,465 elements (the dense parameters of the laptop-scale
 //! SceneRec), on a normal-valued state and on one where about 18% of the
 //! squared-gradient cache entries are subnormal (dead units whose cache
@@ -19,8 +21,9 @@
 //! per-size wall times, GFLOP/s, and three speedups per size: blocked
 //! over naive, SIMD over forced-scalar (the micro-kernel win), and
 //! threaded over naive. The `mlp_head` row asserts that both paths give
-//! bit-identical scores on both backends before it reports GFLOP/s, and
-//! the `rmsprop_update` row that both backends leave bit-identical
+//! bit-identical scores on both backends before it reports GFLOP/s, the
+//! `mlp_head_batch` rows that every user's batched scores equal its
+//! one-user scores on both backends, and the `rmsprop_update` row that both backends leave bit-identical
 //! parameters and caches before it reports nanoseconds per pass. The
 //! manifest records which backend the runtime
 //! dispatch resolved (`kernel_backend`), so diffs across machines with
@@ -79,6 +82,21 @@ struct MlpHeadRow {
     fused_speedup: f64,
 }
 
+/// One user batch through the head kernel at the cold-serving shape,
+/// best-of-`reps` per backend.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct MlpHeadBatchRow {
+    items: usize,
+    users: usize,
+    scalar_ns: u64,
+    simd_ns: u64,
+    /// Dispatched nanoseconds per (user, item) pair.
+    simd_pair_ns: f64,
+    simd_gflops: f64,
+    /// Forced-scalar over dispatched.
+    simd_speedup: f64,
+}
+
 /// The fused RMSProp update, best single pass per backend and state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct RmsPropRow {
@@ -106,6 +124,7 @@ struct KernelsConfig {
 struct KernelResults {
     rows: Vec<KernelRow>,
     mlp_head: MlpHeadRow,
+    mlp_head_batch: Vec<MlpHeadBatchRow>,
     rmsprop_update: RmsPropRow,
     /// `gemm_simd_speedup` at the largest swept size — the headline
     /// micro-kernel number (the tentpole target is >= 1.5 at 512^2 on
@@ -159,50 +178,96 @@ fn mlp_stack(layers: &[HeadLayer<'_>], user: &[f32], items: &Matrix, backend: Ba
     out
 }
 
-/// The fused head kernel, packed once per user, `MLP_BAND` items per call.
-fn mlp_fused(layers: &[HeadLayer<'_>], user: &[f32], items: &Matrix, backend: Backend) -> Vec<f32> {
-    let head = MlpHead::try_new(layers.iter().copied(), user).expect("head shapes");
+/// The fused head kernel, packed once for all `users`, `MLP_BAND` items
+/// per call; returns user-major scores (`users x items`).
+fn mlp_fused(
+    layers: &[HeadLayer<'_>],
+    users: &Matrix,
+    items: &Matrix,
+    backend: Backend,
+) -> Vec<f32> {
+    let head = MlpHead::try_new(layers.iter().copied(), users.iter_rows()).expect("head shapes");
     let mut scratch = vec![0.0f32; head.scratch_len()];
-    let mut out = vec![0.0f32; items.rows()];
+    let (nu, n) = (users.rows(), items.rows());
+    let mut band_out = vec![0.0f32; nu * MLP_BAND];
+    let mut out = vec![0.0f32; nu * n];
     let rows: Vec<&[f32]> = items.iter_rows().collect();
-    for (band, out) in rows.chunks(MLP_BAND).zip(out.chunks_mut(MLP_BAND)) {
-        score::score_mlp_head_with_backend(&head, band.iter().copied(), out, &mut scratch, backend)
-            .expect("head shapes");
+    for (b, band) in rows.chunks(MLP_BAND).enumerate() {
+        let band_out = &mut band_out[..nu * band.len()];
+        score::score_mlp_head_with_backend(
+            &head,
+            band.iter().copied(),
+            band_out,
+            &mut scratch,
+            backend,
+        )
+        .expect("head shapes");
+        for (u, part) in band_out.chunks_exact(band.len()).enumerate() {
+            out[u * n + b * MLP_BAND..][..band.len()].copy_from_slice(part);
+        }
     }
     out
 }
 
+/// The cold-serving head (64 → 32 ReLU → 1), its items and user rows.
+struct HeadSetup {
+    w1: Matrix,
+    b1: Matrix,
+    w2: Matrix,
+    b2: Matrix,
+    users: Matrix,
+    items: Matrix,
+}
+
+impl HeadSetup {
+    fn new(users: usize, rng: &mut StdRng) -> HeadSetup {
+        HeadSetup {
+            w1: Initializer::HeUniform.init(MLP_HIDDEN, 2 * MLP_DIM, rng),
+            b1: Initializer::XavierUniform.init(1, MLP_HIDDEN, rng),
+            w2: Initializer::XavierUniform.init(1, MLP_HIDDEN, rng),
+            b2: Initializer::XavierUniform.init(1, 1, rng),
+            users: Initializer::XavierUniform.init(users, MLP_DIM, rng),
+            items: Initializer::XavierUniform.init(MLP_ITEMS, MLP_DIM, rng),
+        }
+    }
+
+    fn layers(&self) -> [HeadLayer<'_>; 2] {
+        [
+            HeadLayer {
+                w: &self.w1,
+                b: self.b1.as_slice(),
+                act: Act::Relu,
+            },
+            HeadLayer {
+                w: &self.w2,
+                b: self.b2.as_slice(),
+                act: Act::Identity,
+            },
+        ]
+    }
+
+    /// Head FLOPs per (user, item) pair.
+    fn pair_flops(&self) -> f64 {
+        2.0 * (2 * MLP_DIM * MLP_HIDDEN + MLP_HIDDEN) as f64
+    }
+}
+
 fn mlp_head_row(reps: usize, rng: &mut StdRng) -> MlpHeadRow {
     let widths = vec![2 * MLP_DIM, MLP_HIDDEN, 1];
-    let w1 = Initializer::HeUniform.init(MLP_HIDDEN, 2 * MLP_DIM, rng);
-    let b1 = Initializer::XavierUniform.init(1, MLP_HIDDEN, rng);
-    let w2 = Initializer::XavierUniform.init(1, MLP_HIDDEN, rng);
-    let b2 = Initializer::XavierUniform.init(1, 1, rng);
-    let user = Initializer::XavierUniform.init(1, MLP_DIM, rng);
-    let items = Initializer::XavierUniform.init(MLP_ITEMS, MLP_DIM, rng);
-    let layers = [
-        HeadLayer {
-            w: &w1,
-            b: b1.as_slice(),
-            act: Act::Relu,
-        },
-        HeadLayer {
-            w: &w2,
-            b: b2.as_slice(),
-            act: Act::Identity,
-        },
-    ];
-    let u = user.as_slice();
+    let setup = HeadSetup::new(1, rng);
+    let (layers, items) = (setup.layers(), &setup.items);
+    let user = &setup.users;
+    let u = user.row(0);
     let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    let want = bits(mlp_stack(&layers, u, &items, Backend::Scalar));
+    let want = bits(mlp_stack(&layers, u, items, Backend::Scalar));
     for backend in [Backend::Scalar, Backend::Avx2] {
         assert_eq!(
-            bits(mlp_stack(&layers, u, &items, backend)),
+            bits(mlp_stack(&layers, u, items, backend)),
             want,
             "stack {backend:?}"
         );
         assert_eq!(
-            bits(mlp_fused(&layers, u, &items, backend)),
+            bits(mlp_fused(&layers, user, items, backend)),
             want,
             "fused {backend:?}"
         );
@@ -212,10 +277,10 @@ fn mlp_head_row(reps: usize, rng: &mut StdRng) -> MlpHeadRow {
             Matrix::from_vec(1, MLP_ITEMS, f()).expect("one score per item")
         })
     };
-    let stack_scalar_ns = time(&|| mlp_stack(&layers, u, &items, Backend::Scalar));
-    let stack_simd_ns = time(&|| mlp_stack(&layers, u, &items, scenerec_tensor::backend()));
-    let fused_scalar_ns = time(&|| mlp_fused(&layers, u, &items, Backend::Scalar));
-    let fused_simd_ns = time(&|| mlp_fused(&layers, u, &items, scenerec_tensor::backend()));
+    let stack_scalar_ns = time(&|| mlp_stack(&layers, u, items, Backend::Scalar));
+    let stack_simd_ns = time(&|| mlp_stack(&layers, u, items, scenerec_tensor::backend()));
+    let fused_scalar_ns = time(&|| mlp_fused(&layers, user, items, Backend::Scalar));
+    let fused_simd_ns = time(&|| mlp_fused(&layers, user, items, scenerec_tensor::backend()));
     let flops = MLP_ITEMS as f64
         * widths
             .windows(2)
@@ -235,6 +300,59 @@ fn mlp_head_row(reps: usize, rng: &mut StdRng) -> MlpHeadRow {
         fused_simd_gflops: gflops(fused_simd_ns),
         fused_speedup: stack_simd_ns as f64 / fused_simd_ns.max(1) as f64,
     }
+}
+
+/// User batch sizes of the `mlp_head_batch` rows.
+const MLP_BATCHES: [usize; 3] = [1, 8, 32];
+
+/// The head kernel for batches of users against the full catalog. Before
+/// timing, every user's batched scores must equal its own one-user
+/// scores, bit for bit, on both backends (the one-user kernel is held
+/// to the layer stack by the `mlp_head` row and the property tests).
+fn mlp_head_batch_rows(reps: usize, rng: &mut StdRng) -> Vec<MlpHeadBatchRow> {
+    let max = MLP_BATCHES.iter().copied().max().unwrap_or(1);
+    let setup = HeadSetup::new(max, rng);
+    let (layers, items) = (setup.layers(), &setup.items);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let single: Vec<u32> = (0..max)
+        .flat_map(|u| {
+            let user = Matrix::from_vec(1, MLP_DIM, setup.users.row(u).to_vec()).expect("row");
+            bits(&mlp_fused(&layers, &user, items, Backend::Scalar))
+        })
+        .collect();
+    MLP_BATCHES
+        .iter()
+        .map(|&b| {
+            let users =
+                Matrix::from_vec(b, MLP_DIM, setup.users.as_slice()[..b * MLP_DIM].to_vec())
+                    .expect("user rows");
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                assert_eq!(
+                    bits(&mlp_fused(&layers, &users, items, backend)),
+                    single[..b * MLP_ITEMS],
+                    "batch {b} {backend:?}"
+                );
+            }
+            let time = |backend: Backend| {
+                best_ns(reps, || {
+                    let out = mlp_fused(&layers, &users, items, backend);
+                    Matrix::from_vec(b, MLP_ITEMS, out).expect("users x items")
+                })
+            };
+            let scalar_ns = time(Backend::Scalar);
+            let simd_ns = time(scenerec_tensor::backend());
+            let pairs = (b * MLP_ITEMS) as f64;
+            MlpHeadBatchRow {
+                items: MLP_ITEMS,
+                users: b,
+                scalar_ns,
+                simd_ns,
+                simd_pair_ns: simd_ns as f64 / pairs,
+                simd_gflops: pairs * setup.pair_flops() / simd_ns.max(1) as f64,
+                simd_speedup: scalar_ns as f64 / simd_ns.max(1) as f64,
+            }
+        })
+        .collect()
 }
 
 /// The dense parameter count of the laptop-scale SceneRec.
@@ -412,6 +530,22 @@ fn main() {
         mlp_head.fused_speedup,
     );
 
+    // Its own stream, so the rows after it draw what they always drew.
+    let mlp_head_batch = mlp_head_batch_rows(reps, &mut StdRng::seed_from_u64(2014));
+    for row in &mlp_head_batch {
+        println!(
+            "mlp_head_batch ({} users x {} items): scalar {:.1} ms, {} {:.1} ms ({:.1} ns/pair, {:.2} GFLOP/s, {:.2}x)",
+            row.users,
+            row.items,
+            row.scalar_ns as f64 / 1e6,
+            backend_name(),
+            row.simd_ns as f64 / 1e6,
+            row.simd_pair_ns,
+            row.simd_gflops,
+            row.simd_speedup,
+        );
+    }
+
     let rmsprop_update = rmsprop_row(reps, &mut rng);
     println!(
         "rmsprop_update ({} elements): normal {:.1}/{:.1} us, {:.0}% subnormal cache {:.1}/{:.1} us (scalar/{})",
@@ -441,6 +575,7 @@ fn main() {
         .with_results(&KernelResults {
             rows,
             mlp_head,
+            mlp_head_batch,
             rmsprop_update,
             gemm_simd_speedup_at_max_size: headline,
         })

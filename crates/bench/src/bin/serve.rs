@@ -20,6 +20,14 @@
 //! the span *structure* digest is identical across every `--workers`
 //! entry — the serving path's determinism contract.
 //!
+//! Labels say what was measured. Every worker row records the share of
+//! its "cold" replay that the cache answered (`cold_hit_share`: the log
+//! repeats users, so most of a cold replay is hits) and is flagged
+//! `oversubscribed` when it runs more workers than the host has cores
+//! — such a row measures contention, not scaling. A separate true-miss
+//! replay (each user once, cache cleared, so every request is scored)
+//! reports the latency of a real miss (`true_miss`).
+//!
 //! The run ends with a quantized-precision sweep: a BPR-MF dot-bias
 //! model (`--precision-dim`, default 128) frozen at f32/f16/int8,
 //! served cache-off so warm req/s measures the scoring kernels, plus
@@ -78,12 +86,26 @@ impl Throughput {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct WorkerRun {
     workers: usize,
+    /// More workers than host cores: contention, not scaling.
+    oversubscribed: bool,
     cold: Throughput,
     warm: Throughput,
+    /// Share of the cold replay's requests answered by the cache.
+    cold_hit_share: f64,
     cold_latency_p50_ns: f64,
     cold_latency_p99_ns: f64,
     cold_latency_p999_ns: f64,
     speedup_vs_baseline: f64,
+}
+
+/// Every request a cache miss: each user once, cache cleared, one
+/// worker. Latency is per request, from its batch's claim to its
+/// response.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct TrueMissRun {
+    replay: Throughput,
+    latency_p50_ns: f64,
+    latency_p99_ns: f64,
 }
 
 /// One precision's cache-off serving numbers on the BPR-MF dot-bias
@@ -104,6 +126,8 @@ struct PrecisionRun {
 struct ServeResults {
     baseline: Throughput,
     freeze_ns: u64,
+    host_cores: usize,
+    true_miss: TrueMissRun,
     runs: Vec<WorkerRun>,
     best_speedup_vs_baseline: f64,
     precisions: Vec<PrecisionRun>,
@@ -207,6 +231,45 @@ fn main() {
         baseline_n
     );
 
+    let host_cores = scenerec_tensor::par::max_threads();
+    // True misses: every distinct user of the log once, cold cache.
+    let distinct: BTreeSet<u32> = requests.iter().map(|r| r.user).collect();
+    let miss_log: Vec<Request> = distinct.iter().map(|&user| Request { user, k }).collect();
+    engine.clear_cache();
+    reset_metrics();
+    let (hits0, misses0) = engine.cache_stats();
+    let t = Instant::now();
+    let responses = replay(
+        &engine,
+        &miss_log,
+        &ReplayConfig {
+            workers: 1,
+            max_batch: 32,
+            ..ReplayConfig::default()
+        },
+    );
+    let miss_replay = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
+    let (hits1, misses1) = engine.cache_stats();
+    assert_eq!(
+        (hits1 - hits0, misses1 - misses0),
+        (0, miss_log.len() as u64),
+        "the true-miss replay must miss on every request"
+    );
+    let qs = metrics::histogram("serve/latency_ns", &latency_edges()).quantiles(&[0.5, 0.99]);
+    let (miss_p50, miss_p99) = (qs[0], qs[1]);
+    let true_miss = TrueMissRun {
+        replay: miss_replay,
+        latency_p50_ns: miss_p50,
+        latency_p99_ns: miss_p99,
+    };
+    println!(
+        "true misses ({} distinct users): {:>10.0} req/s  p50 {:.1}µs p99 {:.1}µs\n",
+        miss_log.len(),
+        true_miss.replay.requests_per_sec,
+        miss_p50 / 1e3,
+        miss_p99 / 1e3,
+    );
+
     let mut runs = Vec::new();
     for &w in &workers {
         let cfg = ReplayConfig {
@@ -218,9 +281,13 @@ fn main() {
         // exactly this run.
         engine.clear_cache();
         reset_metrics();
+        let (hits0, misses0) = engine.cache_stats();
         let t = Instant::now();
         let responses = replay(&engine, &requests, &cfg);
         let cold = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
+        let (hits1, misses1) = engine.cache_stats();
+        let (hits, misses) = (hits1 - hits0, misses1 - misses0);
+        let cold_hit_share = hits as f64 / (hits + misses).max(1) as f64;
         let latency = metrics::histogram("serve/latency_ns", &latency_edges());
         let qs = latency.quantiles(&[0.5, 0.99, 0.999]);
         let (p50, p99, p999) = (qs[0], qs[1], qs[2]);
@@ -231,17 +298,26 @@ fn main() {
         let warm = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
 
         let speedup = cold.requests_per_sec / baseline.requests_per_sec;
+        let oversubscribed = w > host_cores;
         println!(
-            "engine  workers={w}: cold {:>10.0} req/s ({speedup:>7.1}x)  warm {:>10.0} req/s  p50 {:.1}µs p99 {:.1}µs",
+            "engine  workers={w}: cold {:>10.0} req/s ({speedup:>7.1}x, {:.0}% hits)  warm {:>10.0} req/s  p50 {:.1}µs p99 {:.1}µs{}",
             cold.requests_per_sec,
+            100.0 * cold_hit_share,
             warm.requests_per_sec,
             p50 / 1e3,
             p99 / 1e3,
+            if oversubscribed {
+                format!("  [oversubscribed: {w} workers on {host_cores} cores]")
+            } else {
+                String::new()
+            },
         );
         runs.push(WorkerRun {
             workers: w,
+            oversubscribed,
             cold,
             warm,
+            cold_hit_share,
             cold_latency_p50_ns: p50,
             cold_latency_p99_ns: p99,
             cold_latency_p999_ns: p999,
@@ -409,6 +485,8 @@ fn main() {
     let results = ServeResults {
         baseline,
         freeze_ns,
+        host_cores,
+        true_miss,
         runs,
         best_speedup_vs_baseline: best,
         precisions,

@@ -100,9 +100,20 @@ impl ResultCache {
     /// Entries inserted under an older epoch count as misses and are
     /// dropped here (lazy collection after [`ResultCache::bump_epoch`]).
     pub fn get(&mut self, user: u32, k: u32, tag: u8) -> Option<Vec<Recommendation>> {
+        if !self.touch(user, k, tag) {
+            return None;
+        }
+        self.entries
+            .get(&(user, k, tag))
+            .map(|slot| slot.recs.clone())
+    }
+
+    /// [`Self::get`] without cloning the result: counts the hit or miss,
+    /// refreshes recency on a hit, and reports which it was.
+    pub fn touch(&mut self, user: u32, k: u32, tag: u8) -> bool {
         let Some(slot) = self.entries.get_mut(&(user, k, tag)) else {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return false;
         };
         if slot.epoch != self.epoch {
             let old = slot.stamp;
@@ -110,16 +121,27 @@ impl ResultCache {
             self.recency.remove(&old);
             self.reset_stamps_if_empty();
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return false;
         }
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
         let old = slot.stamp;
         slot.stamp = self.next_stamp;
-        let recs = slot.recs.clone();
         self.recency.remove(&old);
         self.recency.insert(self.next_stamp, (user, k, tag));
         self.next_stamp += 1;
-        Some(recs)
+        true
+    }
+
+    /// The live entry for `(user, k, tag)`, if any, without refreshing
+    /// its recency or counting a hit or miss — a batch looks ahead with
+    /// this and then replays the real [`Self::touch`]/[`Self::insert`]
+    /// sequence, so the cache's state and counters match serving the
+    /// batch one request at a time.
+    pub fn peek(&self, user: u32, k: u32, tag: u8) -> Option<Vec<Recommendation>> {
+        self.entries
+            .get(&(user, k, tag))
+            .filter(|slot| slot.epoch == self.epoch)
+            .map(|slot| slot.recs.clone())
     }
 
     /// Inserts a result, evicting the least-recently-used entry when full.

@@ -12,15 +12,31 @@
 //! * the frozen user/item rows are tape-evaluated values (see
 //!   `scenerec_core::freeze`),
 //! * dot heads score with one `linalg::dot` + bias per item, the tape's
-//!   `affine` order; MLP heads go through the fused kernel
+//!   `affine` order; MLP heads go through the batched head kernel
 //!   `scenerec_tensor::score::score_mlp_head`, which saves each layer-1
-//!   row's 8 lane sums and tail over the user's part of `[u ‖ i]` once
-//!   per request and resumes them per item. The user fills the leading
-//!   input positions, so every lane (and the tail) still sees the tape's
-//!   exact sequence of adds — the per-lane prefix invariant — and the
-//!   result is invariant to the thread count and band size,
+//!   row's 8 lane sums and tail over every user's part of `[u ‖ i]` once
+//!   per batch and resumes them per item, 8 items per register (the
+//!   item-lane layout). The user fills the leading input positions, so
+//!   every lane (and the tail) still sees the tape's exact sequence of
+//!   adds — the per-lane prefix invariant — and the result is invariant
+//!   to the batch, the thread count and the band size,
 //! * candidates are scanned in ascending item order and ties resolve to
 //!   the smaller item id, matching the training-side stable sort.
+//!
+//! # Batched scoring
+//!
+//! Every scoring path runs through one walk, `Catalog`: the head is
+//! prepared once for a set of users, the catalog is scored in
+//! `EngineConfig::band`-row bands for all of them at once, and each user
+//! sees its scores in ascending item order — feeding a bounded top-k
+//! heap that skips its [`SeenMask`] items in place, so no candidate or
+//! score vector the size of the catalog is built per request.
+//! [`FrozenEngine::top_k`], [`FrozenEngine::score_items`] and the
+//! sharded engine's shards walk with one user; the scheduler hands a
+//! whole micro-batch of cache misses to `FrozenEngine::top_k_batch`,
+//! which scores them in one walk and then replays the one-at-a-time
+//! sequence of cache lookups and inserts, so batching changes neither
+//! bytes nor cache counters.
 //!
 //! The cache never changes responses — a hit returns the same bits a
 //! recompute would — so serving stays deterministic at any worker count.
@@ -44,16 +60,18 @@
 
 use crate::cache::ResultCache;
 use crate::mask::SeenMask;
-use crate::topk::select_top_k;
+use crate::topk::TopK;
 use scenerec_core::{
     EntityMatrix, FrozenHead, FrozenLayer, FrozenModel, PairwiseModel, Precision, Recommendation,
 };
 use scenerec_data::Dataset;
 use scenerec_faults::Injector;
 use scenerec_graph::UserId;
-use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Trace};
+use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Stopwatch, Trace};
+use scenerec_tensor::quant::{self, HalfMatrix, Int8Matrix};
 use scenerec_tensor::score::{score_mlp_head, MlpHead};
-use scenerec_tensor::{linalg, par, quant, ShapeError, TensorResult};
+use scenerec_tensor::{linalg, par, Matrix, ShapeError, TensorResult};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -280,15 +298,7 @@ impl FrozenEngine {
                 num_items,
             });
         }
-        score_ids(
-            &self.frozen.users,
-            &self.frozen.items,
-            &self.frozen.head,
-            user as usize,
-            items,
-            self.config.band,
-            self.config.threads,
-        )
+        self.catalog().score(user as usize, Rows::Ids(items))
     }
 
     /// Scores every item in the catalog for `user` (no seen filtering).
@@ -296,8 +306,9 @@ impl FrozenEngine {
     /// # Errors
     /// [`ServeError::UserOutOfRange`].
     pub fn score_all(&self, user: u32) -> Result<Vec<f32>, ServeError> {
-        let ids: Vec<u32> = (0..self.num_items() as u32).collect();
-        self.score_items(user, &ids)
+        self.seen_mask(user)?; // the user range check
+        self.catalog()
+            .score(user as usize, Rows::All(self.num_items()))
     }
 
     /// Top-K unseen recommendations for `user`, served through the cache.
@@ -328,57 +339,162 @@ impl FrozenEngine {
         &self,
         user: u32,
         k: usize,
-        mut trace: Option<&mut Trace>,
+        trace: Option<&mut Trace>,
     ) -> Result<Vec<Recommendation>, ServeError> {
-        metrics::counter("serve/requests").inc();
-        let key_k = u32::try_from(k).unwrap_or(u32::MAX);
+        let mut traces = [trace];
+        let mut out = self.top_k_batch(&[(user, k)], &mut traces);
+        out.pop().unwrap_or(Ok(Vec::new()))
+    }
+
+    /// Serves a batch of `(user, k)` requests: every cache miss is
+    /// scored in **one** walk over the catalog, the users of the batch
+    /// scored together tile by tile. Returns one result per request, in
+    /// order, and records each request's `serve.cache` / `serve.score`
+    /// spans into its trace (`traces` is index-aligned with `requests`,
+    /// or empty).
+    ///
+    /// The cache sees exactly the one-at-a-time sequence of lookups and
+    /// inserts — in three steps:
+    ///
+    /// 1. **Peek** (cache lock): every distinct in-range key is looked
+    ///    up without touching recency or the hit/miss counters; present
+    ///    results are cloned.
+    /// 2. **Score** (no lock): the remaining keys are scored together.
+    ///    A key that appears twice is scored once.
+    /// 3. **Replay** (cache lock): in request order, look each key up
+    ///    (`touch`: a `get` that does not clone) and `insert` it on a
+    ///    miss — the calls serving the requests one at a time makes, in
+    ///    its order, so recency, evictions and [`Self::cache_stats`]
+    ///    match that path (the second request for a key counts as a
+    ///    hit, as it always has).
+    pub(crate) fn top_k_batch(
+        &self,
+        requests: &[(u32, usize)],
+        traces: &mut [Option<&mut Trace>],
+    ) -> Vec<Result<Vec<Recommendation>, ServeError>> {
         let tag = self.precision().tag();
-        let cache_span = trace.as_deref_mut().map(|t| t.start_span("serve.cache"));
-        let close_cache = |trace: &mut Option<&mut Trace>, hit: bool| {
-            if let (Some(t), Some(s)) = (trace.as_deref_mut(), cache_span) {
-                t.add_field(s, "hit", FieldValue::Bool(hit));
-                t.end_span(s);
-            }
+        let num_users = self.num_users();
+        let key_of = |user: u32, k: usize| (user, u32::try_from(k).unwrap_or(u32::MAX));
+        // 1. Peek: each request's slot in `values`, one per distinct
+        // key (`None` for an out-of-range user, which never reaches the
+        // cache), and the keys left to score.
+        let mut index: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        let mut values: Vec<Result<Scored, String>> = Vec::new();
+        let mut pending: Vec<(usize, Query<'_>)> = Vec::new();
+        let slots: Vec<Option<usize>> = {
+            let cache = lock_unpoisoned(&self.cache);
+            requests
+                .iter()
+                .map(|&(user, k)| {
+                    let seen = self.seen.get(user as usize)?;
+                    let (u, kk) = key_of(user, k);
+                    Some(*index.entry((u, kk)).or_insert_with(|| {
+                        let slot = values.len();
+                        let peeked = cache.peek(u, kk, tag);
+                        if peeked.is_none() {
+                            let (user, seen) = (user as usize, Some(seen));
+                            pending.push((slot, Query { user, k, seen }));
+                        }
+                        values.push(Ok((peeked.unwrap_or_default(), 0)));
+                        slot
+                    }))
+                })
+                .collect()
         };
-        if (user as usize) < self.num_users() {
-            // Bind the lookup result so the cache guard (a temporary) is
-            // dropped before the metrics counter takes the obs registry
-            // lock — holding one across the other is an L2 violation.
-            let cached = lock_unpoisoned(&self.cache).get(user, key_k, tag);
-            if let Some(hit) = cached {
-                metrics::counter("serve/cache_hits").inc();
-                close_cache(&mut trace, true);
-                return Ok(hit);
+        // 2. Score every pending key in one walk.
+        let queries: Vec<Query<'_>> = pending.iter().map(|&(_, q)| q).collect();
+        let watch = Stopwatch::start();
+        let scored = self.catalog().top_k(&queries, 0);
+        let score_ns = watch.elapsed_ns();
+        match scored {
+            Ok(scored) => {
+                for (&(slot, _), v) in pending.iter().zip(scored) {
+                    values[slot] = Ok(v);
+                }
+            }
+            Err(e) => {
+                for &(slot, _) in &pending {
+                    values[slot] = Err(e.to_string());
+                }
             }
         }
-        metrics::counter("serve/cache_misses").inc();
-        close_cache(&mut trace, false);
-        let mask = self.seen_mask(user)?;
-        let candidates: Vec<u32> = (0..self.num_items() as u32)
-            .filter(|&i| !mask.contains(i))
-            .collect();
-        let score_span = trace.as_deref_mut().map(|t| {
-            let s = t.start_span("serve.score");
-            t.add_field(s, "candidates", FieldValue::Int(candidates.len() as i64));
-            t.add_field(
-                s,
-                "backend",
-                FieldValue::Str(scenerec_tensor::backend_name().to_owned()),
-            );
-            t.add_field(
-                s,
-                "precision",
-                FieldValue::Str(self.precision().name().to_owned()),
-            );
-            s
-        });
-        let scores = self.score_items(user, &candidates)?;
-        let recs = select_top_k(candidates.iter().copied().zip(scores), k);
-        if let (Some(t), Some(s)) = (trace, score_span) {
-            t.end_span(s);
+        // 3. Replay the one-at-a-time cache sequence.
+        let hits: Vec<bool> = {
+            let mut cache = lock_unpoisoned(&self.cache);
+            requests
+                .iter()
+                .zip(&slots)
+                .map(|(&(user, k), slot)| {
+                    let Some(slot) = *slot else { return false };
+                    let (u, kk) = key_of(user, k);
+                    if cache.touch(u, kk, tag) {
+                        return true;
+                    }
+                    if let Ok((recs, _)) = &values[slot] {
+                        cache.insert(u, kk, tag, recs.clone());
+                    }
+                    false
+                })
+                .collect()
+        };
+        // Counters and spans outside the cache lock: the obs registry
+        // takes its own lock, and holding one across the other is an L2
+        // violation.
+        let hit_count = hits.iter().filter(|&&hit| hit).count();
+        metrics::counter("serve/requests").add(requests.len() as u64);
+        metrics::counter("serve/cache_hits").add(hit_count as u64);
+        metrics::counter("serve/cache_misses").add((requests.len() - hit_count) as u64);
+        // Each slot's result is moved out by its last request, cloned for
+        // the ones before.
+        let mut uses = vec![0usize; values.len()];
+        for &slot in slots.iter().flatten() {
+            uses[slot] += 1;
         }
-        lock_unpoisoned(&self.cache).insert(user, key_k, tag, recs.clone());
-        Ok(recs)
+        let mut traces = traces.iter_mut();
+        requests
+            .iter()
+            .zip(slots)
+            .zip(hits)
+            .map(|((&(user, _), slot), hit)| {
+                if let Some(t) = traces.next().and_then(|t| t.as_deref_mut()) {
+                    let s = t.record_span("serve.cache", 0);
+                    t.add_field(s, "hit", FieldValue::Bool(hit));
+                    if let (false, Some(slot)) = (hit, slot) {
+                        let candidates = values[slot].as_ref().map_or(0, |v| v.1);
+                        let s = t.record_span("serve.score", score_ns);
+                        t.add_field(s, "candidates", FieldValue::Int(candidates as i64));
+                        t.add_field(
+                            s,
+                            "backend",
+                            FieldValue::Str(scenerec_tensor::backend_name().to_owned()),
+                        );
+                        t.add_field(
+                            s,
+                            "precision",
+                            FieldValue::Str(self.precision().name().to_owned()),
+                        );
+                    }
+                }
+                let slot = slot.ok_or(ServeError::UserOutOfRange { user, num_users })?;
+                uses[slot] -= 1;
+                let value = match &mut values[slot] {
+                    Ok((recs, _)) if uses[slot] == 0 => Ok(std::mem::take(recs)),
+                    v => v.clone().map(|(recs, _)| recs),
+                };
+                value.map_err(ServeError::Invalid)
+            })
+            .collect()
+    }
+
+    /// The whole-catalog scoring view this engine serves from.
+    fn catalog(&self) -> Catalog<'_> {
+        Catalog {
+            users: &self.frozen.users,
+            items: &self.frozen.items,
+            head: &self.frozen.head,
+            band: self.config.band,
+            threads: self.config.threads,
+        }
     }
 
     /// Marks `item` as seen for `user` and drops the user's cached
@@ -425,126 +541,331 @@ impl FrozenEngine {
     }
 }
 
-/// Scores `ids` (row indices into `items` / the head's per-item state)
-/// against `users` row `user`.
-///
-/// This is the one scoring implementation behind both engines: the
-/// single [`FrozenEngine`] calls it with global item ids over the whole
-/// catalog, and a `ShardedEngine` shard calls it with shard-local ids
-/// over its sliced matrix + head. Per-element scores depend only on the
-/// user row, the item row, and that item's head state — never on which
-/// other ids ride in the same call — so slicing (like banding and
-/// threading, pinned by `parity_is_invariant_to_band_and_threads`)
-/// cannot change a single bit.
-///
-/// Callers are responsible for bounds checks; `ids` must index within
-/// `items`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_ids(
-    users: &EntityMatrix,
-    items: &EntityMatrix,
-    head: &FrozenHead,
-    user: usize,
-    ids: &[u32],
-    band: usize,
-    threads: usize,
-) -> Result<Vec<f32>, ServeError> {
-    let band = band.max(1);
-    let mut out = Vec::with_capacity(ids.len());
-    match head {
-        // Dot heads score straight off the stored representation:
-        // f32 keeps the tape-exact `linalg::dot`, f16 widens item
-        // lanes in-kernel against the (exactly widened) user row,
-        // int8 accumulates in exact integer arithmetic and rescales
-        // with one fixed-order f32 multiply chain per element.
-        FrozenHead::DotBias { bias } => match (users, items) {
-            (EntityMatrix::F32(users), EntityMatrix::F32(catalog)) => {
-                let u = users.row(user);
-                for &i in ids {
-                    out.push(linalg::dot(u, catalog.row(i as usize)) + bias[i as usize]);
-                }
-            }
-            (EntityMatrix::F16(users), EntityMatrix::F16(catalog)) => {
-                let mut u = vec![0.0f32; users.cols()];
-                users.widen_row_into(user, &mut u);
-                for &i in ids {
-                    out.push(quant::dot_f16(&u, catalog.row(i as usize)) + bias[i as usize]);
-                }
-            }
-            (EntityMatrix::Int8(users), EntityMatrix::Int8(catalog)) => {
-                let uc = users.centered_row(user);
-                let su = users.scale(user);
-                for &i in ids {
-                    let it = i as usize;
-                    let zv = catalog.zero_point(it) as i16;
-                    let idot = quant::dot_i8_centered(&uc, catalog.row(it), zv);
-                    out.push(su * catalog.scale(it) * idot as f32 + bias[it]);
-                }
-            }
-            // Engine constructors validate matching precisions;
-            // reachable only through a hand-built inconsistent model.
-            _ => {
-                return Err(ServeError::Invalid(
-                    "user/item entity matrices disagree on precision".to_owned(),
-                ))
-            }
-        },
-        // MLP heads go through the fused head kernel: the user's share
-        // of layer 1 is packed once per request, f32 item rows are read
-        // in place, and f16/int8 rows are expanded to f32 one band at a
-        // time (exactly, so the path stays deterministic).
-        FrozenHead::Mlp { layers } => {
-            let mut u = vec![0.0f32; users.cols()];
-            users.expand_row_into(user, &mut u);
-            let head = MlpHead::try_new(layers.iter().map(FrozenLayer::as_head_layer), &u)
-                .map_err(invalid)?;
-            out.resize(ids.len(), 0.0);
-            let span = ids.len().div_ceil(threads.max(1)).max(1);
-            let parts = ids.len().div_ceil(span);
-            let results = par::map_workers(parts, |w| {
-                let range = w * span..((w + 1) * span).min(ids.len());
-                let mut part = vec![0.0f32; range.len()];
-                score_mlp_range(&head, items, &ids[range], band, &mut part).map(|()| part)
-            });
-            for (chunk, part) in out.chunks_mut(span).zip(results) {
-                chunk.copy_from_slice(&part.map_err(invalid)?);
-            }
-        }
-    }
-    Ok(out)
+/// One query's ranked results and its unseen-candidate count.
+type Scored = (Vec<Recommendation>, usize);
+
+/// One user's top-k query against a [`Catalog`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Query<'a> {
+    /// Row of the user matrix.
+    pub(crate) user: usize,
+    /// How many results to keep.
+    pub(crate) k: usize,
+    /// Items to skip, by global id.
+    pub(crate) seen: Option<&'a SeenMask>,
 }
 
-/// Scores one contiguous id range through `head`, `band` ids per kernel
-/// call with one scratch buffer for the whole range.
-fn score_mlp_range(
-    head: &MlpHead,
-    items: &EntityMatrix,
-    ids: &[u32],
-    band: usize,
-    out: &mut [f32],
-) -> TensorResult<()> {
-    let mut scratch = vec![0.0f32; head.scratch_len()];
-    let calls = ids.chunks(band).zip(out.chunks_mut(band));
-    match items {
-        EntityMatrix::F32(catalog) => {
-            for (ids, out) in calls {
-                let rows = ids.iter().map(|&i| catalog.row(i as usize));
-                score_mlp_head(head, rows, out, &mut scratch)?;
-            }
-        }
-        _ => {
-            let di = items.cols().max(1);
-            let mut rows = vec![0.0f32; band.min(ids.len()) * di];
-            for (ids, out) in calls {
-                let rows = &mut rows[..ids.len() * di];
-                for (&i, row) in ids.iter().zip(rows.chunks_exact_mut(di)) {
-                    items.expand_row_into(i as usize, row);
-                }
-                score_mlp_head(head, rows.chunks_exact(di), out, &mut scratch)?;
-            }
+/// Which rows of a catalog a walk visits, in position order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Rows `0..n`.
+    All(usize),
+    /// An explicit row list.
+    Ids(&'a [u32]),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::All(n) => *n,
+            Rows::Ids(ids) => ids.len(),
         }
     }
-    Ok(())
+
+    #[inline]
+    fn get(&self, pos: usize) -> usize {
+        match self {
+            Rows::All(_) => pos,
+            Rows::Ids(ids) => ids[pos] as usize,
+        }
+    }
+}
+
+/// The scoring inputs behind both engines: the user rows, an item
+/// matrix with its head, and the kernel knobs. The single
+/// [`FrozenEngine`] walks the whole catalog; a `ShardedEngine` shard
+/// walks its sliced matrix and head. Per-element scores depend only on
+/// the user row, the item row and that item's head state — never on
+/// which other users or rows share a walk — so batching, slicing,
+/// banding and threading cannot change a single bit (pinned by
+/// `parity_is_invariant_to_band_and_threads` and the serving parity
+/// suite).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Catalog<'a> {
+    pub(crate) users: &'a EntityMatrix,
+    pub(crate) items: &'a EntityMatrix,
+    pub(crate) head: &'a FrozenHead,
+    /// Rows scored per band.
+    pub(crate) band: usize,
+    /// Bands scored in parallel.
+    pub(crate) threads: usize,
+}
+
+impl<'a> Catalog<'a> {
+    /// Each query's top-k over every row, global id `offset + row`,
+    /// skipping its seen items in place, plus its unseen-candidate
+    /// count. One walk serves every query; each query's heap receives
+    /// its unseen items in ascending order, exactly the candidates
+    /// [`crate::select_top_k`] saw per request.
+    pub(crate) fn top_k(
+        &self,
+        queries: &[Query<'_>],
+        offset: u32,
+    ) -> Result<Vec<Scored>, ServeError> {
+        let rows = self.items.rows();
+        let mut heaps: Vec<(TopK, usize)> =
+            queries.iter().map(|q| (TopK::new(q.k, rows), 0)).collect();
+        let users: Vec<usize> = queries.iter().map(|q| q.user).collect();
+        self.walk(&users, Rows::All(rows), |q, lo, scores| {
+            let (heap, candidates) = &mut heaps[q];
+            let seen = queries[q].seen;
+            for (item, &score) in (offset + lo as u32..).zip(scores) {
+                if seen.is_some_and(|m| m.contains(item)) {
+                    continue;
+                }
+                heap.push(item, score);
+                *candidates += 1;
+            }
+        })?;
+        Ok(heaps
+            .into_iter()
+            .map(|(heap, candidates)| (heap.into_sorted(), candidates))
+            .collect())
+    }
+
+    /// One user's scores for `rows`, in order. Callers bounds-check.
+    pub(crate) fn score(&self, user: usize, rows: Rows<'_>) -> Result<Vec<f32>, ServeError> {
+        let mut out = vec![0.0f32; rows.len()];
+        self.walk(&[user], rows, |_, lo, scores| {
+            out[lo..lo + scores.len()].copy_from_slice(scores);
+        })?;
+        Ok(out)
+    }
+
+    /// Walks `rows` in bands of [`Self::band`]: each band is scored for
+    /// every user at once (up to [`Self::threads`] consecutive bands in
+    /// parallel), then `visit(q, lo, scores)` hands user `q` its scores
+    /// for positions `lo..lo + scores.len()`, band after band, so each
+    /// user sees its positions in ascending order.
+    fn walk(
+        &self,
+        users: &[usize],
+        rows: Rows<'_>,
+        mut visit: impl FnMut(usize, usize, &[f32]),
+    ) -> Result<(), ServeError> {
+        if users.is_empty() {
+            return Ok(());
+        }
+        let state = self.prepare(users)?;
+        let (n, nu) = (rows.len(), users.len());
+        let band = self.band.max(1);
+        let mut visit_band = |lo: usize, scores: &[f32]| {
+            let len = scores.len() / nu;
+            for (q, part) in scores.chunks_exact(len.max(1)).enumerate() {
+                visit(q, lo, part);
+            }
+        };
+        let threads = self.threads.max(1);
+        for group in (0..n).step_by(band * threads) {
+            let parts = (n - group).div_ceil(band).min(threads);
+            // One part runs inline on this thread.
+            let results = par::map_workers(parts, |w| {
+                let lo = group + w * band;
+                let hi = (lo + band).min(n);
+                let mut buf = BandBuf::new(&state, hi - lo);
+                let mut scores = vec![0.0f32; nu * (hi - lo)];
+                state
+                    .score_band(rows, lo..hi, &mut scores, &mut buf)
+                    .map(|()| (lo, scores))
+            });
+            for part in results {
+                let (lo, scores) = part.map_err(invalid)?;
+                visit_band(lo, &scores);
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-walk user state of the head: the users' rows in the form
+    /// the kernels read, or the MLP head packed for all of them.
+    fn prepare(&self, users: &[usize]) -> Result<Scorer<'a>, ServeError> {
+        Ok(match self.head {
+            // Dot heads score straight off the stored representation:
+            // f32 keeps the tape-exact `linalg::dot`, f16 widens item
+            // lanes in-kernel against the (exactly widened) user row,
+            // int8 accumulates in exact integer arithmetic and rescales
+            // with one fixed-order f32 multiply chain per element.
+            FrozenHead::DotBias { bias } => match (self.users, self.items) {
+                (EntityMatrix::F32(m), EntityMatrix::F32(catalog)) => Scorer::DotF32 {
+                    users: users.iter().map(|&u| m.row(u)).collect(),
+                    catalog,
+                    bias,
+                },
+                (EntityMatrix::F16(m), EntityMatrix::F16(catalog)) => Scorer::DotF16 {
+                    users: users
+                        .iter()
+                        .map(|&u| {
+                            let mut row = vec![0.0f32; m.cols()];
+                            m.widen_row_into(u, &mut row);
+                            row
+                        })
+                        .collect(),
+                    catalog,
+                    bias,
+                },
+                (EntityMatrix::Int8(m), EntityMatrix::Int8(catalog)) => Scorer::DotInt8 {
+                    users: users
+                        .iter()
+                        .map(|&u| (m.centered_row(u), m.scale(u)))
+                        .collect(),
+                    catalog,
+                    bias,
+                },
+                // Engine constructors validate matching precisions;
+                // reachable only through a hand-built inconsistent model.
+                _ => {
+                    return Err(ServeError::Invalid(
+                        "user/item entity matrices disagree on precision".to_owned(),
+                    ))
+                }
+            },
+            // MLP heads go through the batched head kernel: every user's
+            // share of layer 1 is packed once per walk, f32 item rows are
+            // read in place, and f16/int8 rows are expanded to f32 one
+            // band at a time (exactly, so the path stays deterministic).
+            FrozenHead::Mlp { layers } => {
+                let du = self.users.cols();
+                let mut rows = vec![0.0f32; users.len() * du];
+                for (&u, row) in users.iter().zip(rows.chunks_exact_mut(du.max(1))) {
+                    self.users.expand_row_into(u, row);
+                }
+                let head = MlpHead::try_new(
+                    layers.iter().map(FrozenLayer::as_head_layer),
+                    (0..users.len()).map(|q| &rows[q * du..(q + 1) * du]),
+                )
+                .map_err(invalid)?;
+                Scorer::Mlp {
+                    head,
+                    items: self.items,
+                }
+            }
+        })
+    }
+}
+
+/// A head prepared for one walk's users.
+enum Scorer<'a> {
+    DotF32 {
+        users: Vec<&'a [f32]>,
+        catalog: &'a Matrix,
+        bias: &'a [f32],
+    },
+    DotF16 {
+        users: Vec<Vec<f32>>,
+        catalog: &'a HalfMatrix,
+        bias: &'a [f32],
+    },
+    DotInt8 {
+        users: Vec<(Vec<i16>, f32)>,
+        catalog: &'a Int8Matrix,
+        bias: &'a [f32],
+    },
+    Mlp {
+        head: MlpHead,
+        items: &'a EntityMatrix,
+    },
+}
+
+/// Per-band buffers of one walk (or one parallel band): the head
+/// kernel's scratch and, for quantized MLP catalogs, the band's rows
+/// expanded to f32.
+struct BandBuf {
+    scratch: Vec<f32>,
+    rows: Vec<f32>,
+}
+
+impl BandBuf {
+    fn new(scorer: &Scorer<'_>, band: usize) -> BandBuf {
+        match scorer {
+            Scorer::Mlp { head, items } => BandBuf {
+                scratch: vec![0.0; head.scratch_len()],
+                rows: match items {
+                    EntityMatrix::F32(_) => Vec::new(),
+                    _ => vec![0.0; band * items.cols()],
+                },
+            },
+            _ => BandBuf {
+                scratch: Vec::new(),
+                rows: Vec::new(),
+            },
+        }
+    }
+}
+
+impl Scorer<'_> {
+    /// Scores positions `band` of `rows` for every user into
+    /// `out[q * band.len() + j]`.
+    fn score_band(
+        &self,
+        rows: Rows<'_>,
+        band: std::ops::Range<usize>,
+        out: &mut [f32],
+        buf: &mut BandBuf,
+    ) -> TensorResult<()> {
+        let len = band.len();
+        let ids = band.map(|pos| rows.get(pos));
+        match self {
+            Scorer::DotF32 {
+                users,
+                catalog,
+                bias,
+            } => {
+                for (u, out) in users.iter().zip(out.chunks_exact_mut(len)) {
+                    for (o, i) in out.iter_mut().zip(ids.clone()) {
+                        *o = linalg::dot(u, catalog.row(i)) + bias[i];
+                    }
+                }
+            }
+            Scorer::DotF16 {
+                users,
+                catalog,
+                bias,
+            } => {
+                for (u, out) in users.iter().zip(out.chunks_exact_mut(len)) {
+                    for (o, i) in out.iter_mut().zip(ids.clone()) {
+                        *o = quant::dot_f16(u, catalog.row(i)) + bias[i];
+                    }
+                }
+            }
+            Scorer::DotInt8 {
+                users,
+                catalog,
+                bias,
+            } => {
+                for ((uc, su), out) in users.iter().zip(out.chunks_exact_mut(len)) {
+                    for (o, i) in out.iter_mut().zip(ids.clone()) {
+                        let zv = catalog.zero_point(i) as i16;
+                        let idot = quant::dot_i8_centered(uc, catalog.row(i), zv);
+                        *o = su * catalog.scale(i) * idot as f32 + bias[i];
+                    }
+                }
+            }
+            Scorer::Mlp { head, items } => match items {
+                EntityMatrix::F32(catalog) => {
+                    score_mlp_head(head, ids.map(|i| catalog.row(i)), out, &mut buf.scratch)?;
+                }
+                _ => {
+                    let di = items.cols().max(1);
+                    let expanded = &mut buf.rows[..len * items.cols()];
+                    for (i, row) in ids.zip(expanded.chunks_exact_mut(di)) {
+                        items.expand_row_into(i, row);
+                    }
+                    score_mlp_head(head, expanded.chunks_exact(di), out, &mut buf.scratch)?;
+                }
+            },
+        }
+        Ok(())
+    }
 }
 
 fn invalid(e: ShapeError) -> ServeError {

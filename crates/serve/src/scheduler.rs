@@ -9,6 +9,14 @@
 //! and it is unobservable in the results (pinned by
 //! `tests/determinism.rs`).
 //!
+//! Each micro-batch is served in three steps (see `serve_batch`): the
+//! fault ladder of every request in request order, then one
+//! [`FrozenEngine`] call that scores all of the batch's cache misses in
+//! one walk over the catalog, then the commit in request order. The
+//! injector calls, cache lookups and stale-map updates happen in the
+//! order serving the requests one at a time would make them, so the
+//! batch size changes neither bytes nor counters.
+//!
 //! ## Failure handling (`replay_supervised`)
 //!
 //! The supervised entry point threads a `scenerec_faults::Injector`
@@ -772,32 +780,7 @@ fn drain(shared: &Shared<'_>, inflight: &Mutex<Option<Batch>>) {
         shared.injector.panic_point("serve/worker");
         batch_hist.observe((batch.end - batch.start) as f64);
 
-        let mut served = Vec::with_capacity(batch.end - batch.start);
-        for pos in batch.start..batch.end {
-            let idx = shared.order[batch.lane.index()][pos];
-            let watch = Stopwatch::start();
-            let mut trace = shared
-                .traces
-                .as_ref()
-                .and_then(|m| lock_unpoisoned(m)[idx].take());
-            let batch_span = trace.as_mut().map(|t| {
-                t.end_top(); // serve.queue: the wait is over
-                let b = t.start_span("serve.batch");
-                t.add_field(b, "batch_start", FieldValue::Int(batch.start as i64));
-                t.add_field(b, "batch_end", FieldValue::Int(batch.end as i64));
-                b
-            });
-            let response = serve_one_supervised(shared, &shared.requests[idx], trace.as_mut());
-            if let (Some(t), Some(b)) = (trace.as_mut(), batch_span) {
-                t.end_span(b);
-            }
-            if let (Some(m), Some(t)) = (shared.traces.as_ref(), trace) {
-                lock_unpoisoned(m)[idx] = Some(t);
-            }
-            latency_hist.observe(watch.elapsed_ns() as f64);
-            served.push((idx, response));
-        }
-
+        let served = serve_batch(shared, batch, &latency_hist);
         // Atomic commit: a batch's responses land all at once, after the
         // last fallible step, so a crashed batch contributes nothing.
         {
@@ -818,125 +801,190 @@ fn commit_errors(shared: &Shared<'_>, batch: Batch) {
         let idx = shared.order[batch.lane.index()][pos];
         let req = &shared.requests[idx];
         debug_assert!(slots[idx].is_none(), "response {idx} served twice");
-        slots[idx] = Some(Response {
-            user: req.user,
-            k: req.k,
-            recs: Vec::new(),
-            error: Some(format!(
+        slots[idx] = Some(error_response(
+            req,
+            format!(
                 "worker failed {} times serving this batch",
                 batch.requeues + 1
-            )),
-            degraded: false,
-            partial_shards: Vec::new(),
-            overload: None,
-        });
+            ),
+        ));
     }
 }
 
-/// Serves one request through the retry / deadline / degraded ladder.
-/// `trace`, when present, is handed to the engine exactly once — the
-/// retry loop wraps the injected I/O probe, not the engine call, so a
-/// request records its cache/score spans at most once under any fault
-/// plan.
-fn serve_one_supervised(
+/// Serves one claimed batch in three steps and returns its responses
+/// with their request indices, in batch order:
+///
+/// 1. **Plan**, in request order: open the request's `serve.batch` span
+///    and run its fault ladder — the injected `serve/request` latency,
+///    then `serve/engine` probes with bounded, backed-off retries —
+///    making exactly the injector calls, in exactly the order, that
+///    serving the requests one at a time makes.
+/// 2. **Score**: every request whose probe succeeded goes to the engine
+///    in one [`FrozenEngine::top_k_batch`] call, which scores all of the
+///    batch's cache misses in one walk over the catalog.
+/// 3. **Commit**, in request order: record good results in the stale
+///    map and resolve exhausted retries from it (so a request can
+///    degrade to a result an earlier batch-mate just produced), close
+///    the `serve.batch` span and observe the request's latency — the
+///    time from the batch's claim to its response, which is when the
+///    client sees it (a batch commits atomically).
+fn serve_batch(
     shared: &Shared<'_>,
-    req: &Request,
-    mut trace: Option<&mut Trace>,
-) -> Response {
+    batch: Batch,
+    latency_hist: &metrics::Histogram,
+) -> Vec<(usize, Response)> {
+    let watch = Stopwatch::start();
+    let order = &shared.order[batch.lane.index()][batch.start..batch.end];
+    let mut traces: Vec<Option<Trace>> = order
+        .iter()
+        .map(|&idx| {
+            shared
+                .traces
+                .as_ref()
+                .and_then(|m| lock_unpoisoned(m)[idx].take())
+        })
+        .collect();
+    let mut plans = Vec::with_capacity(order.len());
+    let mut spans = Vec::with_capacity(order.len());
+    for (&idx, trace) in order.iter().zip(&mut traces) {
+        spans.push(trace.as_mut().map(|t| {
+            t.end_top(); // serve.queue: the wait is over
+            let b = t.start_span("serve.batch");
+            t.add_field(b, "batch_start", FieldValue::Int(batch.start as i64));
+            t.add_field(b, "batch_end", FieldValue::Int(batch.end as i64));
+            b
+        }));
+        plans.push(plan_request(shared, &shared.requests[idx]));
+    }
+
+    let mut scored = {
+        let (reqs, mut engine_traces): (Vec<(u32, usize)>, Vec<Option<&mut Trace>>) = order
+            .iter()
+            .zip(&plans)
+            .zip(&mut traces)
+            .filter(|((_, plan), _)| matches!(plan, Plan::Engine))
+            .map(|((&idx, _), trace)| {
+                let req = &shared.requests[idx];
+                ((req.user, req.k), trace.as_mut())
+            })
+            .unzip();
+        shared
+            .engine
+            .top_k_batch(&reqs, &mut engine_traces)
+            .into_iter()
+    };
+
+    let tag = shared.engine.precision().tag();
+    let mut served = Vec::with_capacity(order.len());
+    for (((&idx, plan), mut trace), span) in order.iter().zip(plans).zip(traces).zip(spans) {
+        let req = &shared.requests[idx];
+        let key = (req.user, u32::try_from(req.k).unwrap_or(u32::MAX), tag);
+        let response = match plan {
+            Plan::Engine => {
+                let response = match scored.next() {
+                    Some(Ok(recs)) => ok_response(req, recs),
+                    Some(Err(e)) => error_response(req, e.to_string()),
+                    None => error_response(req, "engine returned no result".to_owned()),
+                };
+                if response.error.is_none() {
+                    lock_unpoisoned(&shared.stale).insert(key, response.recs.clone());
+                }
+                response
+            }
+            Plan::Done(response) => response,
+            Plan::Exhausted(error) => {
+                // Bind the lookup so the stale-map guard (a temporary) is
+                // dropped before the metrics counter takes the obs
+                // registry lock (L2).
+                let stale_hit = shared
+                    .config
+                    .degraded
+                    .then(|| lock_unpoisoned(&shared.stale).get(&key).cloned())
+                    .flatten();
+                match stale_hit {
+                    Some(recs) => {
+                        metrics::counter("serve/degraded_hits").inc();
+                        Response {
+                            degraded: true,
+                            ..ok_response(req, recs)
+                        }
+                    }
+                    None => error_response(req, error),
+                }
+            }
+        };
+        if let (Some(t), Some(b)) = (trace.as_mut(), span) {
+            t.end_span(b);
+        }
+        if let (Some(m), Some(t)) = (shared.traces.as_ref(), trace) {
+            lock_unpoisoned(m)[idx] = Some(t);
+        }
+        latency_hist.observe(watch.elapsed_ns() as f64);
+        served.push((idx, response));
+    }
+    served
+}
+
+/// What the fault ladder decided for one request.
+enum Plan {
+    /// The `serve/engine` probe succeeded: score it.
+    Engine,
+    /// Answered without the engine (deadline exceeded).
+    Done(Response),
+    /// Engine retries exhausted: degrade to the stale result at commit
+    /// when allowed and present, else this error.
+    Exhausted(String),
+}
+
+/// Runs one request's retry / deadline ladder against the injector,
+/// without touching the engine: injected latency plus backoff form the
+/// request's logical clock, checked against the deadline before every
+/// engine probe.
+fn plan_request(shared: &Shared<'_>, req: &Request) -> Plan {
     let config = shared.config;
-    let key = (
-        req.user,
-        u32::try_from(req.k).unwrap_or(u32::MAX),
-        shared.engine.precision().tag(),
-    );
-    // Logical clock for this request: injected latency plus backoff.
     let mut ticks = shared.injector.latency("serve/request");
     let mut attempt = 0u32;
     loop {
         if config.deadline_ticks > 0 && ticks > config.deadline_ticks {
             metrics::counter("serve/deadline_misses").inc();
-            return Response {
-                user: req.user,
-                k: req.k,
-                recs: Vec::new(),
-                error: Some(format!(
+            return Plan::Done(error_response(
+                req,
+                format!(
                     "deadline exceeded: {ticks} > {} ticks",
                     config.deadline_ticks
-                )),
-                degraded: false,
-                partial_shards: Vec::new(),
-                overload: None,
-            };
+                ),
+            ));
         }
         match shared.injector.io("serve/engine") {
-            Ok(()) => {
-                let response = serve_one(shared.engine, req, trace.take());
-                if response.error.is_none() {
-                    lock_unpoisoned(&shared.stale).insert(key, response.recs.clone());
-                }
-                return response;
+            Ok(()) => return Plan::Engine,
+            Err(_) if attempt < config.max_retries => {
+                metrics::counter("serve/retries").inc();
+                ticks = ticks.saturating_add(config.backoff.ticks(attempt));
+                attempt += 1;
             }
             Err(e) => {
-                if attempt < config.max_retries {
-                    metrics::counter("serve/retries").inc();
-                    ticks = ticks.saturating_add(config.backoff.ticks(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                // Retries exhausted: degrade to the last good result for
-                // this (user, k) when allowed, else a typed error.
-                if config.degraded {
-                    // Bind the lookup so the stale-map guard (a
-                    // temporary) is dropped before the metrics counter
-                    // takes the obs registry lock (L2).
-                    let stale_hit = lock_unpoisoned(&shared.stale).get(&key).cloned();
-                    if let Some(recs) = stale_hit {
-                        metrics::counter("serve/degraded_hits").inc();
-                        return Response {
-                            user: req.user,
-                            k: req.k,
-                            recs,
-                            error: None,
-                            degraded: true,
-                            partial_shards: Vec::new(),
-                            overload: None,
-                        };
-                    }
-                }
-                return Response {
-                    user: req.user,
-                    k: req.k,
-                    recs: Vec::new(),
-                    error: Some(format!("engine unavailable after {attempt} retries: {e}")),
-                    degraded: false,
-                    partial_shards: Vec::new(),
-                    overload: None,
-                };
+                return Plan::Exhausted(format!("engine unavailable after {attempt} retries: {e}"))
             }
         }
     }
 }
 
-fn serve_one(engine: &FrozenEngine, req: &Request, trace: Option<&mut Trace>) -> Response {
-    match engine.top_k_inner(req.user, req.k, trace) {
-        Ok(recs) => Response {
-            user: req.user,
-            k: req.k,
-            recs,
-            error: None,
-            degraded: false,
-            partial_shards: Vec::new(),
-            overload: None,
-        },
-        Err(e) => Response {
-            user: req.user,
-            k: req.k,
-            recs: Vec::new(),
-            error: Some(e.to_string()),
-            degraded: false,
-            partial_shards: Vec::new(),
-            overload: None,
-        },
+fn ok_response(req: &Request, recs: Vec<Recommendation>) -> Response {
+    Response {
+        user: req.user,
+        k: req.k,
+        recs,
+        error: None,
+        degraded: false,
+        partial_shards: Vec::new(),
+        overload: None,
+    }
+}
+
+fn error_response(req: &Request, error: String) -> Response {
+    Response {
+        error: Some(error),
+        ..ok_response(req, Vec::new())
     }
 }
 

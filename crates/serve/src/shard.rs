@@ -17,13 +17,13 @@
 //!
 //! Sharding never changes a byte of any response. Per-element scores
 //! depend only on the user row, the item row, and that item's head
-//! state (`score_ids`), so slicing cannot perturb them; and the
-//! serving order `(score desc, item asc)` is a strict total order, so
-//! merging per-shard top-K lists with the same comparator
-//! ([`merge_top_k`]) reproduces the single-engine ranking exactly, ties
-//! included (proof sketch on [`merge_top_k`]; pinned for every
-//! precision and shard count by `tests/properties.rs` and
-//! `tests/serving_parity.rs`).
+//! state (the `engine::Catalog` walk both engines share), so slicing
+//! cannot perturb them; and the serving order `(score desc, item asc)`
+//! is a strict total order, so merging per-shard top-K lists with the
+//! same comparator ([`merge_top_k`]) reproduces the single-engine
+//! ranking exactly, ties included (proof sketch on [`merge_top_k`];
+//! pinned for every precision and shard count by `tests/properties.rs`
+//! and `tests/serving_parity.rs`).
 //!
 //! ## Routing and scheduling
 //!
@@ -63,10 +63,10 @@
 
 use crate::admission::{self, AdmissionConfig, AdmissionPlan, TimedRequest, Verdict};
 use crate::cache::ResultCache;
-use crate::engine::{score_ids, seen_lists, EngineConfig, ServeError};
+use crate::engine::{seen_lists, Catalog, EngineConfig, Query, ServeError};
 use crate::mask::SeenMask;
 use crate::scheduler::{latency_edges, record_admission_metrics, Request, Response};
-use crate::topk::{merge_top_k, select_top_k};
+use crate::topk::merge_top_k;
 use scenerec_core::{
     EntityMatrix, FrozenHead, FrozenModel, PairwiseModel, Precision, Recommendation, ShardMap,
 };
@@ -307,26 +307,24 @@ impl ShardedEngine {
             });
         }
         metrics::indexed_counter("serve/shard", s, "cache_misses").inc();
-        let rows = shard.items.rows() as u32;
-        // Candidate ids are shard-local rows; the seen filter and the
-        // emitted recommendations translate through `shard.start`.
-        let local: Vec<u32> = match self.seen.get(&user) {
-            Some(mask) => (0..rows)
-                .filter(|&l| !mask.contains(shard.start + l))
-                .collect(),
-            None => (0..rows).collect(),
+        // The shard walks its own rows; the seen filter and the emitted
+        // recommendations translate through `shard.start`.
+        let catalog = Catalog {
+            users: &self.users,
+            items: &shard.items,
+            head: &shard.head,
+            band: self.config.engine.band,
+            threads: self.config.engine.threads,
         };
-        let scores = score_ids(
-            &self.users,
-            &shard.items,
-            &shard.head,
-            user as usize,
-            &local,
-            self.config.engine.band,
-            self.config.engine.threads,
-        )?;
-        let candidates = local.len();
-        let recs = select_top_k(local.iter().map(|&l| shard.start + l).zip(scores), k);
+        let query = Query {
+            user: user as usize,
+            k,
+            seen: self.seen.get(&user),
+        };
+        let (recs, candidates) = catalog
+            .top_k(&[query], shard.start)?
+            .pop()
+            .unwrap_or_default();
         lock_unpoisoned(&shard.cache).insert(user, key_k, tag, recs.clone());
         Ok(ShardPartial {
             recs,

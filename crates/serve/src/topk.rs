@@ -50,6 +50,65 @@ impl Ord for Worst {
     }
 }
 
+/// A bounded top-`k` heap fed one candidate at a time — [`select_top_k`]
+/// without the iterator, so a caller can keep one per user while it
+/// walks a catalog in tiles.
+#[derive(Debug)]
+pub(crate) struct TopK {
+    heap: BinaryHeap<Worst>,
+    k: usize,
+}
+
+impl TopK {
+    /// An empty heap keeping the best `k`; `hint` bounds the initial
+    /// capacity (the candidate count, when known).
+    pub(crate) fn new(k: usize, hint: usize) -> TopK {
+        TopK {
+            heap: BinaryHeap::with_capacity(k.min(hint).saturating_add(1)),
+            k,
+        }
+    }
+
+    /// Offers one candidate: kept while fewer than `k` are held, else
+    /// it replaces the current worst entry only when it scores strictly
+    /// higher, or ties the score with a smaller item id.
+    #[inline]
+    pub(crate) fn push(&mut self, item: u32, score: f32) {
+        if self.heap.len() < self.k {
+            self.heap.push(Worst { score, item });
+            return;
+        }
+        let replaces = match self.heap.peek() {
+            Some(worst) => match score_ord(score, worst.score) {
+                Ordering::Greater => true,
+                Ordering::Equal => item < worst.item,
+                Ordering::Less => false,
+            },
+            None => false,
+        };
+        if replaces {
+            self.heap.pop();
+            self.heap.push(Worst { score, item });
+        }
+    }
+
+    /// The kept candidates by (score descending, item ascending).
+    pub(crate) fn into_sorted(self) -> Vec<Recommendation> {
+        let mut out: Vec<Recommendation> = self
+            .heap
+            .into_iter()
+            .map(|w| Recommendation {
+                item: ItemId(w.item),
+                score: w.score,
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            score_ord(b.score, a.score).then_with(|| a.item.raw().cmp(&b.item.raw()))
+        });
+        out
+    }
+}
+
 /// Selects the top `k` of `candidates` by (score descending, item id
 /// ascending) using a bounded heap.
 ///
@@ -61,37 +120,12 @@ pub fn select_top_k<I>(candidates: I, k: usize) -> Vec<Recommendation>
 where
     I: IntoIterator<Item = (u32, f32)>,
 {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
+    let candidates = candidates.into_iter();
+    let mut top = TopK::new(k, candidates.size_hint().0);
     for (item, score) in candidates {
-        if heap.len() < k {
-            heap.push(Worst { score, item });
-            continue;
-        }
-        let replaces = match heap.peek() {
-            Some(worst) => match score_ord(score, worst.score) {
-                Ordering::Greater => true,
-                Ordering::Equal => item < worst.item,
-                Ordering::Less => false,
-            },
-            None => true,
-        };
-        if replaces {
-            heap.pop();
-            heap.push(Worst { score, item });
-        }
+        top.push(item, score);
     }
-    let mut out: Vec<Recommendation> = heap
-        .into_iter()
-        .map(|w| Recommendation {
-            item: ItemId(w.item),
-            score: w.score,
-        })
-        .collect();
-    out.sort_by(|a, b| score_ord(b.score, a.score).then_with(|| a.item.raw().cmp(&b.item.raw())));
-    out
+    top.into_sorted()
 }
 
 /// Exact scatter-gather merge: re-selects the global top `k` from

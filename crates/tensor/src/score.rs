@@ -16,21 +16,32 @@
 //! any `threads`.
 //!
 //! [`score_mlp_head`] is the fused rating-head kernel behind MLP-head
-//! serving (SceneRec's Eq. 14 over `[u ‖ i]`). It produces exactly the
-//! floats a `try_score_bt` + [`Act::apply`] stack would, layer by layer,
-//! while doing the user's share of layer 1 once per [`MlpHead`] instead
-//! of once per item. What keeps it exact is the **per-lane prefix
-//! invariant**: [`linalg::dot`] keeps 8 independent lane sums, each fed
-//! its elements in ascending chunk order, plus a serial scalar tail that
-//! starts at `0.0`. The user occupies the leading input positions, so
-//! every lane's (and the tail's) user contributions come first in its
-//! own sequence. Saving each hidden row's 8 lanes and tail after the
-//! user positions, and resuming from them with only the item positions,
-//! therefore replays every lane's exact sequence of adds — for any user
-//! width, including a chunk shared by user and item values and an input
-//! that ends in a scalar tail. The 8 lanes are then reduced in
-//! `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))` order, `+ tail`, `+ bias`, and
-//! the activation applied, as on the tape.
+//! serving (SceneRec's Eq. 14 over `[u ‖ i]`). It scores a *batch* of
+//! users against the same item rows and produces exactly the floats a
+//! `try_score_bt` + [`Act::apply`] stack would, layer by layer, while
+//! doing each user's share of layer 1 once per [`MlpHead`] instead of
+//! once per item. Two facts keep it exact:
+//!
+//! * **The per-lane prefix invariant.** [`linalg::dot`] keeps 8
+//!   independent lane sums — input `j < main` goes to lane `j % 8`, in
+//!   ascending `j` — plus a serial scalar tail over the inputs past
+//!   `main`, starting at `0.0`. The user occupies the leading input
+//!   positions, so every lane's (and the tail's) user contributions come
+//!   first in its own sequence. Saving each hidden row's 8 lanes and
+//!   tail after the user positions, and resuming from them with only
+//!   the item positions, replays every lane's exact sequence of adds —
+//!   for any user width, including a chunk shared by user and item
+//!   values and an input that ends in a scalar tail.
+//! * **The item-lane layout.** Items are transposed in tiles of 8, so
+//!   one AVX2 register holds the same input position for 8 items. Each
+//!   item's lane `l` then starts from the user's start lane, adds
+//!   `x[j] * w[r][j]` for its positions in ascending order (mul, then
+//!   add — never FMA), and the 8 lanes are reduced
+//!   `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))` with plain vertical adds,
+//!   then `+ tail`, `+ bias` and the activation, as on the tape. Later
+//!   layers read the previous layer's output tile with zero start
+//!   lanes. A tile is transposed once and reused by every user of the
+//!   batch; only tile-sized scratch is touched.
 
 use crate::dispatch::{self, Backend};
 use crate::error::{ShapeError, TensorResult};
@@ -118,12 +129,12 @@ pub fn score_bt(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, threads: usize) ->
 }
 
 /// Width of [`linalg::dot`]'s lane accumulator, and the number of
-/// hidden rows the fused head kernel reduces together.
+/// items one item-lane tile of the fused head kernel carries.
 pub(crate) const LANES: usize = 8;
 
-/// Items the fused head kernel carries through one layer before the
-/// next, so each layer's per-block set-up is paid once per batch.
-pub(crate) const BATCH: usize = 16;
+/// Floats one user's layer-1 start state takes per hidden row: the 8
+/// lane sums and the scalar tail over the user positions.
+const START: usize = LANES + 1;
 
 /// One borrowed dense layer of a rating head: `y = act(W·x + b)`.
 #[derive(Debug, Clone, Copy)]
@@ -136,176 +147,93 @@ pub struct HeadLayer<'a> {
     pub act: Act,
 }
 
-/// Geometry of one packed layer. The layer reads its per-item input `x`
-/// from position `off` of its full `k`-wide input (`off` is the user
-/// width for layer 1 and 0 after it); positions before `off` are folded
-/// into the packed start lanes. Derived fields are computed once, at
-/// packing time, so the per-item loop only reads them.
+/// Geometry of one packed layer. The layer reads its input from an
+/// item-lane tile of `chunks * 8 + tails` rows of 8 floats: row `c*8+l`
+/// feeds lane `l` of [`linalg::dot`]'s accumulator in chunk `c`, row
+/// `chunks*8 + t` feeds the scalar tail. For layer 1 the tile starts
+/// with `lead` rows of `-0.0` (the user positions of a chunk shared by
+/// user and item, packed with `+0.0` weights) and then the item
+/// positions; every earlier user position is folded into the per-user
+/// start state. Later layers read the previous layer's output tile
+/// (`lead == 0`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PackedLayer {
-    pub(crate) off: usize,
-    pub(crate) k: usize,
     pub(crate) out: usize,
     pub(crate) act: Act,
-    /// Start of the layer's blocks in [`MlpHead::packed`], and their length.
-    pub(crate) base: usize,
-    pub(crate) len: usize,
-    /// First full chunk holding per-item input, and how many do.
-    pub(crate) first_chunk: usize,
     pub(crate) chunks: usize,
-    /// User lanes of the first per-item chunk when user and item share
-    /// it (0 when the chunk is all item).
+    pub(crate) tails: usize,
     pub(crate) lead: usize,
-    /// Offset in `x` of the first scalar-tail input, and how many there are.
-    pub(crate) tail_x: usize,
-    pub(crate) tails: usize,
-    /// Block layouts for 8 rows and for one row.
-    pub(crate) p8: BlockParts,
-    pub(crate) p1: BlockParts,
-}
-
-/// Where each part of a packed block of `rows` hidden rows starts. A
-/// block is `[chunk weights | tail weights | start lanes | start tails |
-/// bias]`: chunk weights are chunk-major, then row, then lane; tail
-/// weights are position-major, then row; start lanes are 8 per row.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockParts {
-    pub(crate) tail_w: usize,
-    pub(crate) lanes: usize,
-    pub(crate) tails: usize,
-    pub(crate) bias: usize,
-    pub(crate) len: usize,
-}
-
-impl BlockParts {
-    fn new(rows: usize, chunks: usize, tails: usize) -> BlockParts {
-        let tail_w = rows * LANES * chunks;
-        let lanes = tail_w + rows * tails;
-        let tails = lanes + rows * LANES;
-        let bias = tails + rows;
-        BlockParts {
-            tail_w,
-            lanes,
-            tails,
-            bias,
-            len: bias + rows,
-        }
-    }
+    /// Start of the layer's row weights in [`MlpHead::packed`]: `out`
+    /// rows of [`Self::row_len`] floats, then the `out` biases.
+    base: usize,
 }
 
 impl PackedLayer {
-    fn new(off: usize, k: usize, out: usize, act: Act, base: usize) -> PackedLayer {
-        let main = k - k % LANES;
-        let first_chunk = off.min(main) / LANES;
-        let chunks = main / LANES - first_chunk;
-        let tail_start = main.max(off);
-        let tails = k - tail_start;
-        let (p8, p1) = (
-            BlockParts::new(LANES, chunks, tails),
-            BlockParts::new(1, chunks, tails),
-        );
-        PackedLayer {
-            off,
-            k,
-            out,
-            act,
-            base,
-            len: out / LANES * p8.len + out % LANES * p1.len,
-            first_chunk,
-            chunks,
-            lead: if chunks > 0 { off % LANES } else { 0 },
-            tail_x: tail_start - off,
-            tails,
-            p8,
-            p1,
-        }
+    /// Input-tile rows, and packed weights per hidden row.
+    #[inline]
+    pub(crate) fn row_len(&self) -> usize {
+        self.chunks * LANES + self.tails
     }
 
-    #[inline]
-    pub(crate) fn parts(&self, rows: usize) -> BlockParts {
-        if rows == LANES {
-            self.p8
-        } else {
-            self.p1
-        }
-    }
-
-    /// Offset in `x` of full chunk `ci` (counted from `first_chunk`);
-    /// not meaningful for a shared chunk, which goes through
-    /// [`Self::lead_chunk`].
-    #[inline]
-    pub(crate) fn chunk_x(&self, ci: usize) -> usize {
-        (self.first_chunk + ci) * LANES - self.off
-    }
-
-    /// The shared chunk's item values in its item lanes, `-0.0` in its
-    /// user lanes. Those lanes are packed with `+0.0` weights, so they
-    /// add `-0.0 * +0.0 = -0.0` — the exact additive identity — and
-    /// each lane keeps its tape sequence.
-    #[inline]
-    pub(crate) fn lead_chunk(&self, x: &[f32]) -> [f32; LANES] {
-        let mut c = [-0.0f32; LANES];
-        if self.lead > 0 {
-            c[self.lead..].copy_from_slice(&x[..LANES - self.lead]);
-        }
-        c
-    }
-
-    /// Blocks in the layer: full blocks of 8 rows, then one block per
-    /// remaining row.
-    #[inline]
-    pub(crate) fn num_blocks(&self) -> usize {
-        self.out / LANES + self.out % LANES
-    }
-
-    /// `(first row, rows, offset from base)` of block `b`.
-    #[inline]
-    pub(crate) fn block(&self, b: usize) -> (usize, usize, usize) {
-        let full = self.out / LANES;
-        if b < full {
-            (b * LANES, LANES, b * self.p8.len)
-        } else {
-            let r = b - full;
-            (full * LANES + r, 1, full * self.p8.len + r * self.p1.len)
-        }
+    fn len(&self) -> usize {
+        self.out * (self.row_len() + 1)
     }
 }
 
-/// An MLP rating head packed for one user: the layer weights re-laid
-/// out in blocks of 8 hidden rows, and each layer-1 row's lane sums and
-/// tail over the user's part of `[u ‖ i]` (see the module docs for why
-/// resuming from them is exact). Built once per request; the model
-/// itself stores no packed state.
+/// An MLP rating head packed for a batch of users: each layer's rows
+/// re-laid out for the item-lane kernel, and for every user each
+/// layer-1 row's lane sums and tail over the user's part of `[u ‖ i]`
+/// (see the module docs for why resuming from them is exact). Built
+/// once per batch; the model itself stores no packed state.
 #[derive(Debug, Clone)]
 pub struct MlpHead {
     layers: Vec<PackedLayer>,
     packed: Vec<f32>,
+    /// `users x out₁ x (8 lanes + tail)`.
+    starts: Vec<f32>,
+    users: usize,
     item_dim: usize,
     width: usize,
 }
 
 impl MlpHead {
     /// Packs `layers` (application order; the last must output one
-    /// value) for the user row `user`, which fills the first
-    /// `user.len()` inputs of layer 1.
+    /// value) for the user rows `users`, each of which fills the first
+    /// inputs of layer 1.
     ///
     /// # Errors
-    /// An empty stack, layer 1 narrower than the user row, a bias of
-    /// the wrong length, consecutive layers that do not chain, or a last
-    /// layer that does not output exactly one value.
-    pub fn try_new<'a>(
+    /// No users or users of different widths, an empty stack, layer 1
+    /// narrower than the user rows, a bias of the wrong length,
+    /// consecutive layers that do not chain, or a last layer that does
+    /// not output exactly one value.
+    pub fn try_new<'a, 'u>(
         layers: impl IntoIterator<Item = HeadLayer<'a>>,
-        user: &[f32],
+        users: impl IntoIterator<Item = &'u [f32]>,
     ) -> TensorResult<MlpHead> {
+        let users: Vec<&[f32]> = users.into_iter().collect();
+        let Some(du) = users.first().map(|u| u.len()) else {
+            return Err(ShapeError::Empty {
+                op: "mlp head users",
+            });
+        };
+        if let Some(bad) = users.iter().find(|u| u.len() != du) {
+            return Err(ShapeError::Mismatch {
+                lhs: (1, bad.len()),
+                rhs: (1, du),
+                op: "mlp head user row",
+            });
+        }
         let mut head = MlpHead {
             layers: Vec::new(),
             packed: Vec::new(),
+            starts: Vec::new(),
+            users: users.len(),
             item_dim: 0,
             width: 0,
         };
         for (li, layer) in layers.into_iter().enumerate() {
             let (out, k) = layer.w.shape();
-            let off = if li == 0 { user.len() } else { 0 };
+            let off = if li == 0 { du } else { 0 };
             let want = head.layers.last().map_or(off, |p: &PackedLayer| p.out);
             if (li == 0 && k < off) || (li > 0 && k != want) {
                 return Err(ShapeError::MatMul {
@@ -320,11 +248,13 @@ impl MlpHead {
                     op: "mlp head bias",
                 });
             }
-            let l = PackedLayer::new(off, k, out, layer.act, head.packed.len());
-            head.packed.resize(l.base + l.len, 0.0);
-            pack_layer(&l, layer, user, &mut head.packed[l.base..]);
+            let l = pack_layer(layer, off, &mut head.packed);
             if li == 0 {
                 head.item_dim = k - off;
+                head.starts = vec![0.0; users.len() * out * START];
+                for (u, dst) in users.iter().zip(head.starts.chunks_exact_mut(out * START)) {
+                    start_state(layer.w, u, dst);
+                }
             }
             head.width = head.width.max(out);
             head.layers.push(l);
@@ -345,61 +275,82 @@ impl MlpHead {
         self.item_dim
     }
 
-    /// Scratch floats one [`score_mlp_head`] call needs.
+    /// Users the head was packed for.
+    pub fn num_users(&self) -> usize {
+        self.users
+    }
+
+    /// Scratch floats one [`score_mlp_head`] call needs: the layer-1
+    /// input tile plus two layer-output tiles.
     pub fn scratch_len(&self) -> usize {
-        2 * BATCH * self.width
+        let tile = self.layers.first().map_or(0, PackedLayer::row_len);
+        LANES * (tile + 2 * self.width)
     }
 }
 
-/// Lays one layer out in blocks (see [`BlockParts`]) and computes its
-/// start state: for layer 1, every row's lane sums and tail over the
-/// user positions, added in [`linalg::dot`]'s order; zeros otherwise.
-fn pack_layer(l: &PackedLayer, layer: HeadLayer<'_>, user: &[f32], dst: &mut [f32]) {
-    let main = l.k - l.k % LANES;
-    let tail_p = main.max(l.off);
-    for b in 0..l.num_blocks() {
-        let (r0, rows, at) = l.block(b);
-        let p = l.parts(rows);
-        let blk = &mut dst[at..at + p.len];
-        for r in 0..rows {
-            let w = layer.w.row(r0 + r);
-            for ci in 0..l.chunks {
-                let c = (l.first_chunk + ci) * LANES;
-                let lanes = &mut blk[(ci * rows + r) * LANES..][..LANES];
-                for (lane, (&wv, pos)) in lanes.iter_mut().zip(w[c..c + LANES].iter().zip(c..)) {
-                    *lane = if pos < l.off { 0.0 } else { wv };
-                }
+/// Appends one layer's packed rows and biases to `packed`: row `r` holds
+/// its chunk weights lane by lane (`+0.0` at user positions of a shared
+/// chunk) and then its tail weights.
+fn pack_layer(layer: HeadLayer<'_>, off: usize, packed: &mut Vec<f32>) -> PackedLayer {
+    let (out, k) = layer.w.shape();
+    let main = k - k % LANES;
+    let first_chunk = off.min(main) / LANES;
+    let chunks = main / LANES - first_chunk;
+    let tail_start = main.max(off);
+    let l = PackedLayer {
+        out,
+        act: layer.act,
+        chunks,
+        tails: k - tail_start,
+        lead: if chunks > 0 { off % LANES } else { 0 },
+        base: packed.len(),
+    };
+    packed.reserve(l.len());
+    for r in 0..out {
+        let w = layer.w.row(r);
+        let c0 = first_chunk * LANES;
+        packed.extend((c0..main).map(|pos| if pos < off { 0.0 } else { w[pos] }));
+        packed.extend_from_slice(&w[tail_start..]);
+    }
+    packed.extend_from_slice(layer.b);
+    l
+}
+
+/// One user's layer-1 start state: every row's 8 lane sums and tail over
+/// the user positions, added in [`linalg::dot`]'s order.
+fn start_state(w: &Matrix, user: &[f32], dst: &mut [f32]) {
+    let k = w.cols();
+    let main = k - k % LANES;
+    let off = user.len();
+    for (r, st) in dst.chunks_exact_mut(START).enumerate() {
+        let w = w.row(r);
+        let (lanes, tail) = st.split_at_mut(LANES);
+        for (uc, wc) in user[..off.min(main)]
+            .chunks(LANES)
+            .zip(w.chunks_exact(LANES))
+        {
+            for ((lane, &uv), &wv) in lanes.iter_mut().zip(uc).zip(wc) {
+                *lane += uv * wv;
             }
-            for t in 0..l.tails {
-                blk[p.tail_w + t * rows + r] = w[tail_p + t];
-            }
-            let lanes = &mut blk[p.lanes + r * LANES..][..LANES];
-            for (uc, wc) in user[..l.off.min(main)]
-                .chunks(LANES)
-                .zip(w.chunks_exact(LANES))
-            {
-                for ((lane, &uv), &wv) in lanes.iter_mut().zip(uc).zip(wc) {
-                    *lane += uv * wv;
-                }
-            }
-            let mut tail = 0.0f32;
-            for pos in main..l.off.max(main) {
-                tail += user[pos] * w[pos];
-            }
-            blk[p.tails + r] = tail;
-            blk[p.bias + r] = layer.b[r0 + r];
         }
+        let mut t = 0.0f32;
+        for pos in main..off.max(main) {
+            t += user[pos] * w[pos];
+        }
+        tail[0] = t;
     }
 }
 
-/// Scores one item row per element of `out` through `head`: `out[j]`
-/// is bit-identical to running `[user ‖ rows[j]]` through the layer
-/// stack with [`try_score_bt`] and [`Act::apply`]. Allocation-, lock-
-/// and IO-free; `scratch` must hold [`MlpHead::scratch_len`] floats.
+/// Scores every user of `head` against one item row per item: with `n`
+/// rows, `out[u * n + j]` is bit-identical to running
+/// `[user u ‖ rows[j]]` through the layer stack with [`try_score_bt`]
+/// and [`Act::apply`]. Allocation-, lock- and IO-free; `scratch` must
+/// hold [`MlpHead::scratch_len`] floats.
 ///
 /// # Errors
-/// Fewer or more rows than `out` has elements, a row whose width is not
-/// [`MlpHead::item_dim`], or a short `scratch`.
+/// An `out` whose length is not a multiple of [`MlpHead::num_users`],
+/// fewer or more rows than `out.len() / num_users`, a row whose width
+/// is not [`MlpHead::item_dim`], or a short `scratch`.
 pub fn score_mlp_head<'r>(
     head: &MlpHead,
     rows: impl IntoIterator<Item = &'r [f32]>,
@@ -425,43 +376,80 @@ pub fn score_mlp_head_with_backend<'r>(
         return unsafe { crate::simd::score_mlp_head_avx2(head, rows.into_iter(), out, scratch) };
     }
     let _ = backend;
-    drive_head(head, rows.into_iter(), out, scratch, layer_scalar)
+    drive_head(
+        head,
+        rows.into_iter(),
+        out,
+        scratch,
+        layer_scalar,
+        transpose_scalar,
+    )
 }
 
-/// The backend-independent item loop: checks the rows, then carries
-/// batches of up to [`BATCH`] items through the stack one layer at a
-/// time, ping-ponging between the two halves of `scratch`.
+/// `tile[j * 8 + i] = xs[i][j]`: 8 item rows into item-lane order.
+pub(crate) fn transpose_scalar(xs: &[&[f32]; LANES], tile: &mut [f32]) {
+    for (j, dst) in tile.chunks_exact_mut(LANES).enumerate() {
+        for (d, x) in dst.iter_mut().zip(xs) {
+            *d = x[j];
+        }
+    }
+}
+
+/// The backend-independent tile loop: checks the shapes, then for each
+/// tile of up to 8 items transposes their rows into the item-lane input
+/// tile once and carries it through the stack for every user in turn,
+/// ping-ponging between two output tiles in `scratch`. A short last
+/// tile fills its pad lanes with copies of its last item, computes them
+/// and discards them.
 #[inline(always)]
 pub(crate) fn drive_head<'r>(
     head: &MlpHead,
     mut rows: impl Iterator<Item = &'r [f32]>,
     out: &mut [f32],
     scratch: &mut [f32],
-    // `layer(l, packed, xs, y)` runs one layer over a batch, writing
-    // input j's `l.out` outputs to `y[j * l.out..]`.
-    mut layer: impl FnMut(&PackedLayer, &[f32], &[&[f32]], &mut [f32]),
+    // `layer(l, w, bias, starts, x, y, m)` runs one layer for one user
+    // over one tile: `w` holds the layer's packed rows, `bias` its
+    // biases, `starts` the user's start state (`None` after layer 1:
+    // zero lanes and tail), `x` the input tile, `y` the `out x 8` output
+    // tile; only the first `m` lanes are live.
+    mut layer: impl FnMut(&PackedLayer, &[f32], &[f32], Option<&[f32]>, &[f32], &mut [f32], usize),
+    // `transpose(xs, tile)` writes `tile[j * 8 + i] = xs[i][j]`.
+    mut transpose: impl FnMut(&[&[f32]; LANES], &mut [f32]),
 ) -> TensorResult<()> {
-    let half = BATCH * head.width;
-    if scratch.len() < 2 * half {
+    let Some(first) = head.layers.first() else {
+        return Err(ShapeError::Empty { op: "mlp head" });
+    };
+    let need = head.scratch_len();
+    if scratch.len() < need {
         return Err(ShapeError::Mismatch {
             lhs: (scratch.len(), 1),
-            rhs: (2 * half, 1),
+            rhs: (need, 1),
             op: "mlp head scratch",
         });
     }
-    let Some((first, rest)) = head.layers.split_first() else {
-        return Err(ShapeError::Empty { op: "mlp head" });
-    };
-    let packed_of = |l: &PackedLayer| &head.packed[l.base..l.base + l.len];
-    let (mut cur, mut next) = scratch[..2 * half].split_at_mut(half);
-    let want = out.len();
-    for batch in out.chunks_mut(BATCH) {
-        let n = batch.len();
-        let mut xs: [&[f32]; BATCH] = [&[]; BATCH];
-        for x in &mut xs[..n] {
+    if out.len() % head.users != 0 {
+        return Err(ShapeError::Mismatch {
+            lhs: (out.len(), 1),
+            rhs: (head.users, 1),
+            op: "mlp head out",
+        });
+    }
+    let n = out.len() / head.users;
+    let tile_len = LANES * first.row_len();
+    let half = LANES * head.width;
+    let (tile, rest) = scratch[..need].split_at_mut(tile_len);
+    let (ping, pong) = rest.split_at_mut(half);
+    // The shared-chunk user lanes: `-0.0` inputs against `+0.0` weights
+    // add `-0.0`, the exact additive identity.
+    tile[..first.lead * LANES].fill(-0.0);
+    let out1 = first.out * START;
+    for t0 in (0..n).step_by(LANES) {
+        let m = (n - t0).min(LANES);
+        let mut xs: [&[f32]; LANES] = [&[]; LANES];
+        for (i, x) in xs.iter_mut().enumerate().take(m) {
             let row = rows.next().ok_or(ShapeError::Mismatch {
-                lhs: (want, 1),
-                rhs: (0, 1),
+                lhs: (n, 1),
+                rhs: (t0 + i, 1),
                 op: "mlp head rows",
             })?;
             if row.len() != head.item_dim {
@@ -473,24 +461,31 @@ pub(crate) fn drive_head<'r>(
             }
             *x = row;
         }
-        layer(first, packed_of(first), &xs[..n], &mut cur[..n * first.out]);
-        for l in rest {
-            let hs: [&[f32]; BATCH] = std::array::from_fn(|j| {
-                if j < n {
-                    &cur[j * l.k..(j + 1) * l.k]
+        // Pad lanes repeat the last row: computed, then discarded.
+        let last = xs[m - 1];
+        xs[m..].fill(last);
+        transpose(&xs, &mut tile[first.lead * LANES..]);
+        for u in 0..head.users {
+            let (mut cur, mut next) = (&mut *ping, &mut *pong);
+            for (li, l) in head.layers.iter().enumerate() {
+                let w = &head.packed[l.base..l.base + l.len()];
+                let (w, bias) = w.split_at(l.out * l.row_len());
+                let y = &mut next[..l.out * LANES];
+                if li == 0 {
+                    let st = &head.starts[u * out1..(u + 1) * out1];
+                    layer(l, w, bias, Some(st), tile, y, m);
                 } else {
-                    &[]
+                    layer(l, w, bias, None, &cur[..l.row_len() * LANES], y, m);
                 }
-            });
-            layer(l, packed_of(l), &hs[..n], &mut next[..n * l.out]);
-            std::mem::swap(&mut cur, &mut next);
+                std::mem::swap(&mut cur, &mut next);
+            }
+            out[u * n + t0..u * n + t0 + m].copy_from_slice(&cur[..m]);
         }
-        batch.copy_from_slice(&cur[..n]);
     }
     if rows.next().is_some() {
         return Err(ShapeError::Mismatch {
-            lhs: (out.len(), 1),
-            rhs: (out.len() + 1, 1),
+            lhs: (n, 1),
+            rhs: (n + 1, 1),
             op: "mlp head rows",
         });
     }
@@ -499,51 +494,45 @@ pub(crate) fn drive_head<'r>(
 
 /// `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`, [`linalg::dot`]'s lane order.
 #[inline(always)]
-pub(crate) fn reduce_lanes(l: &[f32; LANES]) -> f32 {
+fn reduce_lanes(l: &[f32; LANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// One packed row, resumed from its start lanes and tail.
-#[inline(always)]
-fn row_scalar(
+/// The scalar layer: each live item lane replays [`linalg::dot`] over
+/// its tile column, resumed from the start state.
+fn layer_scalar(
     l: &PackedLayer,
-    blk: &[f32],
-    rows: usize,
-    r: usize,
+    w: &[f32],
+    bias: &[f32],
+    starts: Option<&[f32]>,
     x: &[f32],
-    lead: &[f32; LANES],
-) -> f32 {
-    let p = l.parts(rows);
-    let mut lanes = [0.0f32; LANES];
-    lanes.copy_from_slice(&blk[p.lanes + r * LANES..][..LANES]);
-    for ci in 0..l.chunks {
-        let xs = if ci == 0 && l.lead > 0 {
-            &lead[..]
-        } else {
-            &x[l.chunk_x(ci)..][..LANES]
-        };
-        let w = &blk[(ci * rows + r) * LANES..][..LANES];
-        for ((lane, &xv), &wv) in lanes.iter_mut().zip(xs).zip(w) {
-            *lane += xv * wv;
-        }
-    }
-    let mut tail = blk[p.tails + r];
-    for t in 0..l.tails {
-        tail += x[l.tail_x + t] * blk[p.tail_w + t * rows + r];
-    }
-    let v = reduce_lanes(&lanes) + tail;
-    l.act.apply(v + blk[p.bias + r])
-}
-
-fn layer_scalar(l: &PackedLayer, packed: &[f32], xs: &[&[f32]], y: &mut [f32]) {
-    for b in 0..l.num_blocks() {
-        let (r0, rows, at) = l.block(b);
-        let blk = &packed[at..at + l.parts(rows).len];
-        for (x, y) in xs.iter().zip(y.chunks_exact_mut(l.out)) {
-            let lead = l.lead_chunk(x);
-            for r in 0..rows {
-                y[r0 + r] = row_scalar(l, blk, rows, r, x, &lead);
+    y: &mut [f32],
+    m: usize,
+) {
+    let row_len = l.row_len();
+    for (r, (wr, yr)) in w
+        .chunks_exact(row_len)
+        .zip(y.chunks_exact_mut(LANES))
+        .enumerate()
+    {
+        for (i, yv) in yr[..m].iter_mut().enumerate() {
+            let mut lanes = [0.0f32; LANES];
+            let mut tail = 0.0f32;
+            if let Some(s) = starts {
+                let st = &s[r * START..(r + 1) * START];
+                lanes.copy_from_slice(&st[..LANES]);
+                tail = st[LANES];
             }
+            for (c, wc) in wr[..l.chunks * LANES].chunks_exact(LANES).enumerate() {
+                for (lane, (&wv, xr)) in lanes.iter_mut().zip(wc.iter().zip(c * LANES..)) {
+                    *lane += x[xr * LANES + i] * wv;
+                }
+            }
+            for (t, &wv) in wr[l.chunks * LANES..].iter().enumerate() {
+                tail += x[(l.chunks * LANES + t) * LANES + i] * wv;
+            }
+            let v = reduce_lanes(&lanes) + tail;
+            *yv = l.act.apply(v + bias[r]);
         }
     }
 }
@@ -639,7 +628,7 @@ mod tests {
     }
 
     fn fused(layers: &[HeadLayer<'_>], user: &[f32], items: &Matrix, backend: Backend) -> Vec<u32> {
-        let head = MlpHead::try_new(layers.iter().copied(), user).unwrap();
+        let head = MlpHead::try_new(layers.iter().copied(), [user]).unwrap();
         let mut out = vec![0.0; items.rows()];
         let mut scratch = vec![0.0; head.scratch_len()];
         score_mlp_head_with_backend(&head, items.iter_rows(), &mut out, &mut scratch, backend)
@@ -649,7 +638,8 @@ mod tests {
 
     /// Infinite inputs make NaN pre-activations (`inf - inf`, `0 * inf`);
     /// ReLU maps them to `+0.0` on both backends exactly as the stack
-    /// does, and more items than one batch exercise the batch seams.
+    /// does, and more items than one tile exercise the tile seams and a
+    /// short last tile.
     #[test]
     fn fused_head_matches_stack_through_nan_relu() {
         let (du, di, hidden) = (5, 11, 9);
@@ -669,7 +659,7 @@ mod tests {
             },
         ];
         let user = pseudo(du, 0.71);
-        let n = 3 * BATCH + 5;
+        let n = 3 * LANES + 5;
         let mut items = Matrix::from_vec(n, di, pseudo(n * di, 0.13)).unwrap();
         items.row_mut(1)[0] = f32::INFINITY;
         items.row_mut(2)[3] = f32::NEG_INFINITY;
@@ -690,16 +680,21 @@ mod tests {
             act: Act::Identity,
         };
         let ok = [layer(&w1, &[0.0; 4][..]), layer(&w2, &[0.0][..])];
+        let u2 = [0.0f32; 2];
         // The user row is wider than layer 1's input.
-        assert!(MlpHead::try_new(ok, &[0.0; 7]).is_err());
+        assert!(MlpHead::try_new(ok, [&[0.0; 7][..]]).is_err());
         // Bias length, a broken chain, a non-scalar output, no layers.
-        assert!(MlpHead::try_new([layer(&w1, &[0.0; 3][..]), ok[1]], &[0.0; 2]).is_err());
-        assert!(MlpHead::try_new([ok[0], layer(&w1, &[0.0; 4][..])], &[0.0; 2]).is_err());
-        assert!(MlpHead::try_new([ok[0]], &[0.0; 2]).is_err());
-        assert!(MlpHead::try_new([], &[0.0; 2]).is_err());
+        assert!(MlpHead::try_new([layer(&w1, &[0.0; 3][..]), ok[1]], [&u2[..]]).is_err());
+        assert!(MlpHead::try_new([ok[0], layer(&w1, &[0.0; 4][..])], [&u2[..]]).is_err());
+        assert!(MlpHead::try_new([ok[0]], [&u2[..]]).is_err());
+        assert!(MlpHead::try_new([], [&u2[..]]).is_err());
+        // No users, and users of different widths.
+        assert!(MlpHead::try_new(ok, std::iter::empty::<&[f32]>()).is_err());
+        assert!(MlpHead::try_new(ok, [&u2[..], &[0.0; 3][..]]).is_err());
 
-        let head = MlpHead::try_new(ok, &[0.0; 2]).unwrap();
+        let head = MlpHead::try_new(ok, [&u2[..]]).unwrap();
         assert_eq!(head.item_dim(), 4);
+        assert_eq!(head.num_users(), 1);
         let rows = [[0.0f32; 4]; 3];
         let mut scratch = vec![0.0; head.scratch_len()];
         let mut out = [0.0f32; 3];
@@ -711,5 +706,12 @@ mod tests {
         let short_rows = short.iter().map(|r| &r[..]);
         assert!(score_mlp_head(&head, short_rows, &mut out, &mut scratch).is_err());
         assert!(score_mlp_head(&head, rows_of(3), &mut out, &mut scratch[..1]).is_err());
+
+        // Two users: `out` holds users x rows, a multiple of the batch.
+        let pair = MlpHead::try_new(ok, [&u2[..], &u2[..]]).unwrap();
+        let mut out2 = [0.0f32; 6];
+        assert!(score_mlp_head(&pair, rows_of(3), &mut out2, &mut scratch).is_ok());
+        assert!(score_mlp_head(&pair, rows_of(3), &mut out2[..5], &mut scratch).is_err());
+        assert!(score_mlp_head(&pair, rows_of(2), &mut out2, &mut scratch).is_err());
     }
 }

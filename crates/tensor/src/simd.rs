@@ -19,7 +19,7 @@
 use crate::error::TensorResult;
 use crate::gemm::{MR, NR};
 use crate::numeric::Act;
-use crate::score::{reduce_lanes, MlpHead, PackedLayer, LANES};
+use crate::score::{MlpHead, PackedLayer, LANES};
 use crate::update::{dead_lane_rho_mantissa, RmsPropStep};
 use core::arch::x86_64::*;
 
@@ -199,8 +199,7 @@ pub(crate) unsafe fn micro_kernel_avx2(
 }
 
 /// The fused MLP-head kernel ([`crate::score::score_mlp_head`]): the
-/// shared item loop with every full block of 8 hidden rows computed by
-/// [`head_block8_avx2`] and each leftover row by [`head_row_avx2`].
+/// shared tile loop with every layer computed by [`head_layer_avx2`].
 ///
 // SAFETY: callers must hold the guarding dispatch check
 // `dispatch::resolve(..) == Backend::Avx2`, which is only true when
@@ -212,100 +211,173 @@ pub(crate) unsafe fn score_mlp_head_avx2<'r>(
     out: &mut [f32],
     scratch: &mut [f32],
 ) -> TensorResult<()> {
-    crate::score::drive_head(head, rows, out, scratch, |l, packed, xs, y| {
-        for b in 0..l.num_blocks() {
-            let (r0, rows, at) = l.block(b);
-            let blk = &packed[at..at + l.parts(rows).len];
-            for (x, y) in xs.iter().zip(y.chunks_exact_mut(l.out)) {
-                let lead = l.lead_chunk(x);
-                if rows == LANES {
-                    // SAFETY: this closure runs only inside
-                    // `score_mlp_head_avx2`, whose guarding dispatch check
-                    // `dispatch::resolve(..) == Backend::Avx2` the caller holds.
-                    unsafe { head_block8_avx2(l, blk, x, &lead, &mut y[r0..r0 + LANES]) };
-                } else {
-                    // SAFETY: as above — the caller holds the dispatch check.
-                    y[r0] = unsafe { head_row_avx2(l, blk, x, &lead) };
-                }
-            }
-        }
-    })
+    crate::score::drive_head(
+        head,
+        rows,
+        out,
+        scratch,
+        |l, w, bias, starts, x, y, _| {
+            // SAFETY: this closure runs only inside `score_mlp_head_avx2`,
+            // whose guarding dispatch check `dispatch::resolve(..) ==
+            // Backend::Avx2` the caller holds.
+            unsafe { head_layer_avx2(l, w, bias, starts, x, y) }
+        },
+        |xs, tile| {
+            // SAFETY: as above — the caller holds the dispatch check.
+            unsafe { transpose8_avx2(xs, tile) }
+        },
+    )
 }
 
-/// Eight hidden rows of one layer: each row's 8-lane accumulator resumes
-/// from its packed start lanes and adds the per-item chunks (mul, then
-/// add, as in [`dot_avx2`]); the 8 accumulators are reduced together —
-/// two `hadd` rounds give every row's `(l0+l1)+(l2+l3)` and
-/// `(l4+l5)+(l6+l7)`, one add joins them — then `+ tail`, `+ bias` and
-/// the activation, each row exactly as `dot_avx2` + bias + `Act::apply`.
-/// (`hadd` adds a pair as `l1 + l0`; IEEE addition is commutative, so
-/// the sum is the same float.)
+/// [`crate::score::transpose_scalar`] with the columns in 8×8 blocks
+/// transposed in registers (unpack, shuffle, lane permute — moves only,
+/// so the tile holds the same bits); the last `width % 8` columns go
+/// through the scalar loop.
 ///
 // SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2`; `blk` and `y` are resliced
-// (bounds-checked) to one packed 8-row block and 8 outputs.
+// `dispatch::resolve(..) == Backend::Avx2`; every row of `xs` and the
+// tile are resliced (bounds-checked) to the shared width.
 #[target_feature(enable = "avx2,fma,f16c")]
 #[inline]
-unsafe fn head_block8_avx2(
-    l: &PackedLayer,
-    blk: &[f32],
-    x: &[f32],
-    lead: &[f32; LANES],
-    y: &mut [f32],
-) {
-    let p = l.p8;
-    // Bounds-checked reslices: every pointer offset below is proven
-    // against these exact lengths.
-    let (blk, y) = (&blk[..p.len], &mut y[..LANES]);
-    let pb = blk.as_ptr();
-    let mut acc = [_mm256_setzero_ps(); LANES];
-    for (r, a) in acc.iter_mut().enumerate() {
-        // SAFETY: the start lanes of row r are 8 floats at
-        // `p.lanes + 8r < p.tails <= blk.len()`.
-        *a = unsafe { _mm256_loadu_ps(pb.add(p.lanes + r * LANES)) };
+unsafe fn transpose8_avx2(xs: &[&[f32]; LANES], tile: &mut [f32]) {
+    let width = tile.len() / LANES;
+    let main = width - width % LANES;
+    let rows: [&[f32]; LANES] = std::array::from_fn(|i| &xs[i][..width]);
+    let mut j = 0;
+    while j < main {
+        // SAFETY: j + 8 <= main <= width = rows[i].len(), so each
+        // 8-float load reads in bounds.
+        let r: [__m256; LANES] =
+            std::array::from_fn(|i| unsafe { _mm256_loadu_ps(rows[i].as_ptr().add(j)) });
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+        let cols = [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ];
+        let dst = &mut tile[j * LANES..(j + LANES) * LANES];
+        for (c, col) in cols.iter().enumerate() {
+            // SAFETY: `dst` is exactly 64 floats; column c's 8 end at
+            // `8 (c + 1) <= 64`.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr().add(c * LANES), *col) };
+        }
+        j += LANES;
     }
-    for ci in 0..l.chunks {
-        let xs = if ci == 0 && l.lead > 0 {
-            &lead[..]
-        } else {
-            &x[l.chunk_x(ci)..][..LANES]
-        };
-        // SAFETY: `xs` is exactly 8 floats (the staged array or a
-        // bounds-checked 8-float slice of `x`).
-        let xv = unsafe { _mm256_loadu_ps(xs.as_ptr()) };
-        let wc = pb.wrapping_add(ci * LANES * LANES);
-        for (r, a) in acc.iter_mut().enumerate() {
-            // SAFETY: chunk ci's weights are the 64 floats at
-            // `64 ci < p.tail_w <= blk.len()`; row r's 8 lie at `8r`.
-            let wv = unsafe { _mm256_loadu_ps(wc.add(r * LANES)) };
-            *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
+    for (jj, dst) in tile[main * LANES..].chunks_exact_mut(LANES).enumerate() {
+        for (d, x) in dst.iter_mut().zip(&rows) {
+            *d = x[main + jj];
         }
     }
-    let q0 = _mm256_hadd_ps(
-        _mm256_hadd_ps(acc[0], acc[1]),
-        _mm256_hadd_ps(acc[2], acc[3]),
+}
+
+/// One layer over one item-lane tile: register `X[p]` holds input
+/// position `p` of 8 items, so for each hidden row the 8 accumulators
+/// `acc[l]` are [`dot_avx2`]'s 8 lanes for all 8 items at once. Each
+/// starts from the row's broadcast start lane (zero after layer 1) and
+/// adds `X[c*8+l] * bcast(w[c*8+l])` chunk by chunk (mul, then add);
+/// the lane reduction `((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))` is plain
+/// vertical adds; then `+ tail`, `+ bias` and the activation — every
+/// item lane exactly as `dot_avx2` + bias + `Act::apply`. Pad lanes of a
+/// short tile are computed like live ones and discarded by the caller.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`; `w`, `bias`, `x` and `y`
+// are resliced (bounds-checked) to the layer's exact extents, and each
+// row's start state is a bounds-checked slice of `starts`.
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn head_layer_avx2(
+    l: &PackedLayer,
+    w: &[f32],
+    bias: &[f32],
+    starts: Option<&[f32]>,
+    x: &[f32],
+    y: &mut [f32],
+) {
+    let row_len = l.row_len();
+    let main = l.chunks * LANES;
+    // Bounds-checked reslices: every pointer offset below is proven
+    // against these exact lengths.
+    let (w, bias, x, y) = (
+        &w[..l.out * row_len],
+        &bias[..l.out],
+        &x[..row_len * LANES],
+        &mut y[..l.out * LANES],
     );
-    let q1 = _mm256_hadd_ps(
-        _mm256_hadd_ps(acc[4], acc[5]),
-        _mm256_hadd_ps(acc[6], acc[7]),
-    );
-    let low = _mm256_permute2f128_ps::<0x20>(q0, q1);
-    let high = _mm256_permute2f128_ps::<0x31>(q0, q1);
-    let mut s = _mm256_add_ps(low, high);
-    // SAFETY: the 8 start tails sit at `p.tails`, 8 floats before
-    // `p.bias + 8 = p.len <= blk.len()`.
-    let mut tail = unsafe { _mm256_loadu_ps(pb.add(p.tails)) };
-    for (t, &xv) in x[l.tail_x..l.tail_x + l.tails].iter().enumerate() {
-        // SAFETY: tail position t's 8 row weights are at
-        // `p.tail_w + 8t < p.lanes <= blk.len()`.
-        let wv = unsafe { _mm256_loadu_ps(pb.add(p.tail_w + t * LANES)) };
-        tail = _mm256_add_ps(tail, _mm256_mul_ps(_mm256_set1_ps(xv), wv));
+    let px = x.as_ptr();
+    for (r, (wr, yr)) in w
+        .chunks_exact(row_len)
+        .zip(y.chunks_exact_mut(LANES))
+        .enumerate()
+    {
+        let pw = wr.as_ptr();
+        let (mut acc, mut tail) = match starts {
+            Some(s) => {
+                let st = &s[r * (LANES + 1)..(r + 1) * (LANES + 1)];
+                (
+                    std::array::from_fn::<_, LANES, _>(|lane| _mm256_set1_ps(st[lane])),
+                    _mm256_set1_ps(st[LANES]),
+                )
+            }
+            None => ([_mm256_setzero_ps(); LANES], _mm256_setzero_ps()),
+        };
+        let mut p = 0;
+        while p < main {
+            for (lane, a) in acc.iter_mut().enumerate() {
+                // SAFETY: p + lane < main <= row_len = wr.len(), and
+                // input row p + lane's 8 floats end at
+                // `(p + lane + 1) * 8 <= row_len * 8 = x.len()`.
+                let (xv, wv) = unsafe {
+                    (
+                        _mm256_loadu_ps(px.add((p + lane) * LANES)),
+                        _mm256_set1_ps(*pw.add(p + lane)),
+                    )
+                };
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
+            }
+            p += LANES;
+        }
+        let mut s = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3])),
+            _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]), _mm256_add_ps(acc[6], acc[7])),
+        );
+        while p < row_len {
+            // SAFETY: p < row_len = wr.len(), and input row p's 8 floats
+            // end at `(p + 1) * 8 <= x.len()`.
+            let (xv, wv) = unsafe {
+                (
+                    _mm256_loadu_ps(px.add(p * LANES)),
+                    _mm256_set1_ps(*pw.add(p)),
+                )
+            };
+            tail = _mm256_add_ps(tail, _mm256_mul_ps(xv, wv));
+            p += 1;
+        }
+        s = _mm256_add_ps(s, tail);
+        s = _mm256_add_ps(s, _mm256_set1_ps(bias[r]));
+        // SAFETY: the caller holds the dispatch check (see above).
+        unsafe { act_avx2(l.act, s, yr) };
     }
-    s = _mm256_add_ps(s, tail);
-    // SAFETY: the 8 biases end at `p.len <= blk.len()`.
-    s = _mm256_add_ps(s, unsafe { _mm256_loadu_ps(pb.add(p.bias)) });
-    // SAFETY: the caller holds the dispatch check (see above).
-    unsafe { act_avx2(l.act, s, y) };
 }
 
 /// Applies `act` to 8 lanes and stores them to `y[..8]`, bit for bit as
@@ -337,48 +409,6 @@ unsafe fn act_avx2(act: Act, s: __m256, y: &mut [f32]) {
     };
     // SAFETY: `y` is exactly 8 floats, the width of one ymm store.
     unsafe { _mm256_storeu_ps(y.as_mut_ptr(), v) };
-}
-
-/// One leftover hidden row: [`dot_avx2`]'s accumulator resumed from the
-/// row's packed start lanes, then the same lane reduction, `+ tail`,
-/// `+ bias` and `Act::apply`.
-///
-// SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2`; `blk` is resliced
-// (bounds-checked) to one packed 1-row block.
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn head_row_avx2(l: &PackedLayer, blk: &[f32], x: &[f32], lead: &[f32; LANES]) -> f32 {
-    let p = l.p1;
-    let blk = &blk[..p.len];
-    let pb = blk.as_ptr();
-    // SAFETY: the row's 8 start lanes end at `p.tails <= blk.len()`.
-    let mut acc = unsafe { _mm256_loadu_ps(pb.add(p.lanes)) };
-    for ci in 0..l.chunks {
-        let xs = if ci == 0 && l.lead > 0 {
-            &lead[..]
-        } else {
-            &x[l.chunk_x(ci)..][..LANES]
-        };
-        // SAFETY: `xs` is exactly 8 floats; chunk ci's 8 weights end at
-        // `8 (ci + 1) <= p.tail_w <= blk.len()`.
-        let (xv, wv) = unsafe {
-            (
-                _mm256_loadu_ps(xs.as_ptr()),
-                _mm256_loadu_ps(pb.add(ci * LANES)),
-            )
-        };
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, wv));
-    }
-    let mut lanes = [0.0f32; LANES];
-    // SAFETY: `lanes` is exactly 8 f32s, the width of one ymm store.
-    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-    let mut tail = blk[p.tails];
-    for (t, &xv) in x[l.tail_x..l.tail_x + l.tails].iter().enumerate() {
-        tail += xv * blk[p.tail_w + t];
-    }
-    let v = reduce_lanes(&lanes) + tail;
-    l.act.apply(v + blk[p.bias])
 }
 
 /// The RMSProp update ([`crate::update::rmsprop_update`]): each lane

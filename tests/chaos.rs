@@ -321,6 +321,69 @@ fn engine_outage_without_stale_results_is_a_typed_error() {
     assert!(out[0].recs.is_empty() && !out[0].degraded);
 }
 
+/// An engine outage that hits one request in the middle of a batch:
+/// that request's probe and its one retry fail, so it degrades to the
+/// stale result its earlier batch-mate with the same `(user, k)` just
+/// produced; the rest of the batch still goes to the engine together.
+/// Bytes, engine cache counters, injector counts and span structure
+/// all equal serving the same log one request per batch.
+#[test]
+fn mid_batch_engine_fault_degrades_one_request_and_spares_its_batch_mates() {
+    use scenerec_obs::trace::structure_digest;
+    use scenerec_obs::FieldValue;
+    use scenerec_serve::replay_traced_supervised;
+
+    let reqs = vec![
+        Request { user: 0, k: 2 },
+        Request { user: 1, k: 2 },
+        Request { user: 2, k: 1 },
+        Request { user: 0, k: 2 },
+        Request { user: 3, k: 2 },
+        Request { user: 1, k: 1 },
+    ];
+    // Engine probes 4 and 5 are request 3's attempt and its retry.
+    let injector = || {
+        Injector::new(
+            FaultPlan::new(chaos_seed())
+                .inject("serve/engine", Trigger::Nth(4), Fault::Io)
+                .inject("serve/engine", Trigger::Nth(5), Fault::Io),
+        )
+    };
+    let run = |max_batch: usize| {
+        let engine = toy_engine();
+        let inj = injector();
+        let cfg = ReplayConfig {
+            workers: 1,
+            max_batch,
+            max_retries: 1,
+            ..ReplayConfig::default()
+        };
+        let (out, traces) = replay_traced_supervised(&engine, &reqs, &cfg, &inj);
+        (out, traces, engine.cache_stats(), inj.injected())
+    };
+    let (out, traces, stats, injected) = run(8);
+    assert_eq!(out.len(), reqs.len(), "exactly one response per request");
+    assert_eq!(injected, 2);
+    for (i, (req, resp)) in reqs.iter().zip(&out).enumerate() {
+        assert_eq!((resp.user, resp.k), (req.user, req.k));
+        assert!(resp.error.is_none(), "request {i}: {:?}", resp.error);
+        assert_eq!(resp.degraded, i == 3, "request {i} degraded flag");
+    }
+    assert_eq!(out[3].recs, out[0].recs, "stale equals fresh bit for bit");
+    // Batch-mates share one serve.batch window and each reached the
+    // engine; the faulted request never did.
+    for (i, t) in traces.iter().enumerate() {
+        let batch = t.span_named("serve.batch").expect("batch span");
+        assert_eq!(batch.field("batch_end"), Some(&FieldValue::Int(6)));
+        assert_eq!(t.span_named("serve.cache").is_some(), i != 3, "request {i}");
+    }
+    let (want, want_traces, want_stats, want_injected) = run(1);
+    assert_eq!(responses_to_json(&out), responses_to_json(&want));
+    assert_eq!(stats, want_stats, "engine cache counters");
+    assert_eq!(injected, want_injected);
+    assert_eq!(structure_digest(&traces), structure_digest(&want_traces));
+}
+
 /// Latency injection on alternating requests: exactly the slowed
 /// requests miss the deadline; the rest are served normally.
 #[test]

@@ -560,11 +560,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The fused MLP rating-head kernel against the layer-by-layer reference
-// (`try_score_bt` + `Act::apply`), bit for bit, on both kernel backends
-// in one process: user widths that split a lane chunk, inputs ending in
-// a scalar tail, hidden widths around the 8-row block, every activation,
-// and adversarial values (signed zeros, subnormals, tie-prone grids).
+// The batched MLP rating-head kernel against the layer-by-layer
+// reference (`try_score_bt` + `Act::apply`), bit for bit, per user, on
+// both kernel backends in one process: user batches of 1, 2, 7 and 33,
+// item counts around the 8-item tile (including none), user widths that
+// split a lane chunk, inputs ending in a scalar tail, hidden widths
+// around 8, up to two hidden layers, every activation, and adversarial
+// values (signed zeros, subnormals, tie-prone grids) with NaN and ±inf
+// inputs.
 // ---------------------------------------------------------------------
 
 use scenerec_autodiff::Act;
@@ -575,6 +578,7 @@ use scenerec_tensor::Backend;
 
 const HEAD_USER_DIMS: [usize; 5] = [1, 3, 8, 13, 32];
 const HEAD_HIDDEN: [usize; 5] = [1, 5, 8, 17, 32];
+const HEAD_BATCHES: [usize; 4] = [1, 2, 7, 33];
 const HEAD_ACTS: [Act; 5] = [
     Act::Identity,
     Act::Sigmoid,
@@ -597,6 +601,40 @@ fn adversarial_values(seed: u64, n: usize) -> Vec<f32> {
                 2 => sign * f32::from_bits(1 + ((state >> 8) % 0x7f_ffff) as u32),
                 3 | 4 => ((state >> 16) % 5) as f32 * 0.25 - 0.5,
                 _ => (state >> 40) as f32 / 8_388_608.0 - 1.0,
+            }
+        })
+        .collect()
+}
+
+/// The NaN this CPU's arithmetic generates (`inf + -inf`; the x86
+/// default NaN is `0xffc0_0000`), computed at run time so constant
+/// folding cannot substitute another payload.
+fn generated_nan() -> f32 {
+    let (inf, neg_inf) = std::hint::black_box((f32::INFINITY, f32::NEG_INFINITY));
+    inf + neg_inf
+}
+
+/// [`adversarial_values`] with about one value in 16 replaced by NaN,
+/// `+inf` or `-inf`: the user and item inputs of the head.
+///
+/// The NaN inputs carry the bits of [`generated_nan`]. When an add or
+/// multiply meets two NaNs, which payload it returns depends on operand
+/// order, and Rust leaves that order to the compiler (it may swap the
+/// operands of a commutative op), so two correct kernels can disagree
+/// on a NaN's bits. With one NaN pattern in play, comparing by bits
+/// still pins where NaNs appear and what each activation maps them to.
+fn head_inputs(seed: u64, n: usize) -> Vec<f32> {
+    let nan = generated_nan();
+    let mut state = seed ^ 0x9e37;
+    adversarial_values(seed, n)
+        .into_iter()
+        .map(|v| {
+            state = splitmix64(state);
+            match state % 48 {
+                0 => nan,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => v,
             }
         })
         .collect()
@@ -636,9 +674,11 @@ proptest! {
         di in 1usize..20,
         hidden in prop::collection::vec(0usize..5, 1..3),
         acts in prop::collection::vec(0usize..5, 3),
-        num_items in 1usize..40,
+        num_items in 0usize..40,
+        batch_idx in 0usize..4,
     ) {
         let du = HEAD_USER_DIMS[du_idx];
+        let batch = HEAD_BATCHES[batch_idx];
         let mut widths = vec![du + di];
         widths.extend(hidden.iter().map(|&h| HEAD_HIDDEN[h]));
         widths.push(1);
@@ -651,24 +691,34 @@ proptest! {
                 (w, adversarial_values(s ^ 7, io[1]), HEAD_ACTS[acts[li]])
             })
             .collect();
-        let user = adversarial_values(seed ^ 0xa5, du);
-        let items = Matrix::from_vec(num_items, di, adversarial_values(seed ^ 0x5a, num_items * di)).unwrap();
-        let want = head_reference(&layers, &user, &items, Backend::Scalar);
-        prop_assert_eq!(&head_reference(&layers, &user, &items, Backend::Avx2), &want);
+        let users: Vec<Vec<f32>> = (0..batch)
+            .map(|u| head_inputs(seed ^ 0xa5 ^ ((u as u64) << 20), du))
+            .collect();
+        let items = Matrix::from_vec(num_items, di, head_inputs(seed ^ 0x5a, num_items * di)).unwrap();
+        let mut want = Vec::with_capacity(batch * num_items);
+        for user in &users {
+            let scalar = head_reference(&layers, user, &items, Backend::Scalar);
+            prop_assert_eq!(&head_reference(&layers, user, &items, Backend::Avx2), &scalar);
+            want.extend(scalar);
+        }
 
         let head = MlpHead::try_new(
             layers.iter().map(|(w, b, act)| HeadLayer { w, b, act: *act }),
-            &user,
+            users.iter().map(Vec::as_slice),
         )
         .unwrap();
         prop_assert_eq!(head.item_dim(), di);
+        prop_assert_eq!(head.num_users(), batch);
         for backend in [Backend::Scalar, Backend::Avx2] {
-            let mut out = vec![f32::NAN; num_items];
+            let mut out = vec![f32::NAN; batch * num_items];
             let mut scratch = vec![0.0; head.scratch_len()];
             score_mlp_head_with_backend(&head, items.iter_rows(), &mut out, &mut scratch, backend)
                 .unwrap();
             let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&got, &want, "backend={} widths={:?}", backend.name(), widths);
+            prop_assert_eq!(
+                &got, &want,
+                "backend={} widths={:?} users={}", backend.name(), widths, batch
+            );
         }
     }
 }

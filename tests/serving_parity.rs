@@ -377,3 +377,110 @@ fn parity_is_invariant_to_band_and_threads() {
         );
     }
 }
+
+/// A request log with every shape a micro-batch has to get right: the
+/// same `(user, k)` twice in a row (so twice in one batch at any
+/// `max_batch > 1`), one user at two different `k`, `k = 0`, and `k`
+/// past the catalog (so above any user's unseen count).
+fn batch_edge_log(num_items: usize) -> Vec<Request> {
+    let mut log = Vec::new();
+    for user in 0..12u32 {
+        log.push(Request { user, k: TOP_K });
+        if user % 3 == 0 {
+            log.push(Request { user, k: TOP_K });
+        }
+        if user % 4 == 1 {
+            log.push(Request { user, k: 3 });
+        }
+    }
+    log.push(Request { user: 5, k: 0 });
+    log.push(Request {
+        user: 7,
+        k: num_items + 5,
+    });
+    log.push(Request { user: 2, k: TOP_K });
+    log
+}
+
+fn response_bytes(responses: &[scenerec_serve::Response]) -> String {
+    responses_to_json(responses)
+}
+
+/// Micro-batch fusion is invisible: replaying the edge log at
+/// `max_batch` 1, 3 and 32 on 1 and 2 workers serves exactly the bytes
+/// of per-request `top_k` — and at f32 exactly `top_k_unseen` on the
+/// tape — at f32, f16 and int8 on the batched MLP head. On one worker
+/// the engine's cache counters match the one-at-a-time path too, also
+/// with a cache small enough to evict within a batch. (With two
+/// workers, whether a key repeated across batches hits depends on which
+/// worker reaches it first, so only the bytes are pinned there.)
+#[test]
+fn batched_replay_equals_per_request_top_k_at_every_precision() {
+    let data = dataset();
+    let mut model = SceneRec::new(SceneRecConfig::default().with_dim(13), &data);
+    train(&mut model, &data, &train_cfg());
+    let log = batch_edge_log(data.num_items() as usize);
+    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+        for capacity in [1024usize, 3] {
+            let engine = || {
+                let config = EngineConfig {
+                    cache_capacity: capacity,
+                    ..EngineConfig::default()
+                };
+                FrozenEngine::from_model_quantized(&model, &data, precision, config)
+                    .unwrap_or_else(|e| panic!("{} engine: {e}", precision.name()))
+            };
+            let one_at_a_time = engine();
+            let want: Vec<scenerec_serve::Response> = log
+                .iter()
+                .map(|r| scenerec_serve::Response {
+                    user: r.user,
+                    k: r.k,
+                    recs: one_at_a_time.top_k(r.user, r.k).expect("top_k"),
+                    error: None,
+                    degraded: false,
+                    partial_shards: Vec::new(),
+                    overload: None,
+                })
+                .collect();
+            if precision == Precision::F32 {
+                for (r, resp) in log.iter().zip(&want) {
+                    let tape = top_k_unseen(&model, &data, UserId(r.user), r.k);
+                    let bits = |recs: &[scenerec_core::Recommendation]| {
+                        recs.iter()
+                            .map(|x| (x.item, x.score.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&resp.recs), bits(&tape), "user {} k {}", r.user, r.k);
+                }
+            }
+            let want_bytes = response_bytes(&want);
+            for max_batch in [1usize, 3, 32] {
+                for workers in [1usize, 2] {
+                    let engine = engine();
+                    let cfg = ReplayConfig {
+                        workers,
+                        max_batch,
+                        ..ReplayConfig::default()
+                    };
+                    let got = replay(&engine, &log, &cfg);
+                    assert_eq!(
+                        response_bytes(&got),
+                        want_bytes,
+                        "{} capacity {capacity} max_batch {max_batch} workers {workers}",
+                        precision.name()
+                    );
+                    if workers == 1 {
+                        assert_eq!(
+                            engine.cache_stats(),
+                            one_at_a_time.cache_stats(),
+                            "{} capacity {capacity} max_batch {max_batch}: cache counters",
+                            precision.name()
+                        );
+                        assert_eq!(engine.cache_len(), one_at_a_time.cache_len());
+                    }
+                }
+            }
+        }
+    }
+}
