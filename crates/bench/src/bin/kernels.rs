@@ -5,7 +5,8 @@
 //! Eq. 14 rating head (64 → 32 ReLU → 1) over 50,000 items, scored by
 //! the layer-by-layer `score_bt` stack and by the fused head kernel —
 //! `mlp_head_batch` rows: the same head and catalog scored for batches
-//! of 1, 8 and 32 users in one call, forced-scalar vs dispatched — and
+//! of 1, 2, 8, 32 and 64 users in one call (64 is the largest serving
+//! `max_batch`), forced-scalar vs dispatched — and
 //! one `rmsprop_update` row: the fused RMSProp + weight-decay update
 //! over 10,465 elements (the dense parameters of the laptop-scale
 //! SceneRec), on a normal-valued state and on one where about 18% of the
@@ -303,7 +304,7 @@ fn mlp_head_row(reps: usize, rng: &mut StdRng) -> MlpHeadRow {
 }
 
 /// User batch sizes of the `mlp_head_batch` rows.
-const MLP_BATCHES: [usize; 3] = [1, 8, 32];
+const MLP_BATCHES: [usize; 5] = [1, 2, 8, 32, 64];
 
 /// The head kernel for batches of users against the full catalog. Before
 /// timing, every user's batched scores must equal its own one-user

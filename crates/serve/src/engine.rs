@@ -646,7 +646,9 @@ impl<'a> Catalog<'a> {
     /// every user at once (up to [`Self::threads`] consecutive bands in
     /// parallel), then `visit(q, lo, scores)` hands user `q` its scores
     /// for positions `lo..lo + scores.len()`, band after band, so each
-    /// user sees its positions in ascending order.
+    /// user sees its positions in ascending order. Each parallel band
+    /// slot gets its buffers once per walk and reuses them for every
+    /// band it scores.
     fn walk(
         &self,
         users: &[usize],
@@ -659,28 +661,28 @@ impl<'a> Catalog<'a> {
         let state = self.prepare(users)?;
         let (n, nu) = (rows.len(), users.len());
         let band = self.band.max(1);
-        let mut visit_band = |lo: usize, scores: &[f32]| {
-            let len = scores.len() / nu;
-            for (q, part) in scores.chunks_exact(len.max(1)).enumerate() {
-                visit(q, lo, part);
-            }
-        };
         let threads = self.threads.max(1);
+        let slots = n.div_ceil(band).clamp(1, threads);
+        let mut bufs: Vec<BandBuf> = (0..slots)
+            .map(|_| BandBuf::new(&state, band.min(n), nu))
+            .collect();
         for group in (0..n).step_by(band * threads) {
             let parts = (n - group).div_ceil(band).min(threads);
-            // One part runs inline on this thread.
-            let results = par::map_workers(parts, |w| {
+            // One scoped thread per band when there are several.
+            par::for_each_chunk(&mut bufs[..parts], 1, |w, buf| {
                 let lo = group + w * band;
                 let hi = (lo + band).min(n);
-                let mut buf = BandBuf::new(&state, hi - lo);
-                let mut scores = vec![0.0f32; nu * (hi - lo)];
-                state
-                    .score_band(rows, lo..hi, &mut scores, &mut buf)
-                    .map(|()| (lo, scores))
+                for buf in buf {
+                    buf.done = state.score_band(rows, lo..hi, buf);
+                }
             });
-            for part in results {
-                let (lo, scores) = part.map_err(invalid)?;
-                visit_band(lo, &scores);
+            for (w, buf) in bufs[..parts].iter_mut().enumerate() {
+                std::mem::replace(&mut buf.done, Ok(())).map_err(invalid)?;
+                let lo = group + w * band;
+                let len = (lo + band).min(n) - lo;
+                for (q, part) in buf.scores[..nu * len].chunks_exact(len).enumerate() {
+                    visit(q, lo, part);
+                }
             }
         }
         Ok(())
@@ -776,44 +778,53 @@ enum Scorer<'a> {
     },
 }
 
-/// Per-band buffers of one walk (or one parallel band): the head
+/// The buffers of one parallel band slot, reused for every band it
+/// scores in a walk: the band's scores (users x band), the head
 /// kernel's scratch and, for quantized MLP catalogs, the band's rows
-/// expanded to f32.
+/// expanded to f32; `done` carries the last band's outcome back to the
+/// walk.
 struct BandBuf {
+    users: usize,
+    scores: Vec<f32>,
     scratch: Vec<f32>,
     rows: Vec<f32>,
+    done: TensorResult<()>,
 }
 
 impl BandBuf {
-    fn new(scorer: &Scorer<'_>, band: usize) -> BandBuf {
-        match scorer {
-            Scorer::Mlp { head, items } => BandBuf {
-                scratch: vec![0.0; head.scratch_len()],
-                rows: match items {
+    fn new(scorer: &Scorer<'_>, band: usize, users: usize) -> BandBuf {
+        let (scratch, rows) = match scorer {
+            Scorer::Mlp { head, items } => (
+                vec![0.0; head.scratch_len()],
+                match items {
                     EntityMatrix::F32(_) => Vec::new(),
                     _ => vec![0.0; band * items.cols()],
                 },
-            },
-            _ => BandBuf {
-                scratch: Vec::new(),
-                rows: Vec::new(),
-            },
+            ),
+            _ => (Vec::new(), Vec::new()),
+        };
+        BandBuf {
+            users,
+            scores: vec![0.0; users * band],
+            scratch,
+            rows,
+            done: Ok(()),
         }
     }
 }
 
 impl Scorer<'_> {
     /// Scores positions `band` of `rows` for every user into
-    /// `out[q * band.len() + j]`.
+    /// `buf.scores[q * band.len() + j]`.
     fn score_band(
         &self,
         rows: Rows<'_>,
         band: std::ops::Range<usize>,
-        out: &mut [f32],
         buf: &mut BandBuf,
     ) -> TensorResult<()> {
         let len = band.len();
         let ids = band.map(|pos| rows.get(pos));
+        let out = &mut buf.scores[..buf.users * len];
         match self {
             Scorer::DotF32 {
                 users,

@@ -38,10 +38,26 @@
 //!   `x[j] * w[r][j]` for its positions in ascending order (mul, then
 //!   add — never FMA), and the 8 lanes are reduced
 //!   `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))` with plain vertical adds,
-//!   then `+ tail`, `+ bias` and the activation, as on the tape. Later
-//!   layers read the previous layer's output tile with zero start
-//!   lanes. A tile is transposed once and reused by every user of the
-//!   batch; only tile-sized scratch is touched.
+//!   then `+ tail`, `+ bias` and the activation, as on the tape.
+//!
+//! **Shared layer-1 products.** A product `x[j] * w[r][j]` at an item
+//! position does not depend on the user, so the kernel builds it once
+//! per tile for the whole batch: for each hidden row `r` it forms the
+//! row's products `P[j] = X[j] * w[r][j]` (one register per input
+//! position: 1 KB at item width 32, hot in L1), then walks the batch's
+//! users, each starting from its own start lanes and adding
+//! `acc[l] + P[c*8+l]` in ascending `c`. That is the same product and
+//! the same add, in the same order, as a per-user loop that multiplies
+//! and then adds at each position, so every float is unchanged. Only
+//! one row's products are live at a time, so they stay in L1. The AVX2
+//! twin also adds the first user's products straight from registers
+//! and stores them only during the second user's pass, so a batch of
+//! one runs exactly the per-user loop's operations. Each user's layer-1
+//! outputs land in its own output tile; the later layers run per user
+//! through the same routine with zero start lanes (`0.0 + P` is the sum
+//! a zero-started accumulator forms). A tile is transposed once and
+//! reused by every user of the batch; the caller's scratch holds a few
+//! tiles plus one layer-1 output tile per user.
 
 use crate::dispatch::{self, Backend};
 use crate::error::{ShapeError, TensorResult};
@@ -134,7 +150,7 @@ pub(crate) const LANES: usize = 8;
 
 /// Floats one user's layer-1 start state takes per hidden row: the 8
 /// lane sums and the scalar tail over the user positions.
-const START: usize = LANES + 1;
+pub(crate) const START: usize = LANES + 1;
 
 /// One borrowed dense layer of a rating head: `y = act(W·x + b)`.
 #[derive(Debug, Clone, Copy)]
@@ -281,10 +297,20 @@ impl MlpHead {
     }
 
     /// Scratch floats one [`score_mlp_head`] call needs: the layer-1
-    /// input tile plus two layer-output tiles.
+    /// input tile, one hidden row's product tile, every user's layer-1
+    /// output tile (`users x out₁ x 8`) and two output tiles for the
+    /// later layers.
     pub fn scratch_len(&self) -> usize {
-        let tile = self.layers.first().map_or(0, PackedLayer::row_len);
-        LANES * (tile + 2 * self.width)
+        let Some(first) = self.layers.first() else {
+            return 0;
+        };
+        let tile = first.row_len();
+        LANES * (tile + tile.max(self.width) + self.users * first.out + 2 * self.width)
+    }
+
+    /// One layer's packed rows and its biases.
+    fn weights(&self, l: &PackedLayer) -> (&[f32], &[f32]) {
+        self.packed[l.base..l.base + l.len()].split_at(l.out * l.row_len())
     }
 }
 
@@ -397,22 +423,24 @@ pub(crate) fn transpose_scalar(xs: &[&[f32]; LANES], tile: &mut [f32]) {
 
 /// The backend-independent tile loop: checks the shapes, then for each
 /// tile of up to 8 items transposes their rows into the item-lane input
-/// tile once and carries it through the stack for every user in turn,
-/// ping-ponging between two output tiles in `scratch`. A short last
-/// tile fills its pad lanes with copies of its last item, computes them
-/// and discards them.
+/// tile once, runs layer 1 for every user of the batch at once (shared
+/// products), and carries each user's layer-1 output tile through the
+/// later layers, ping-ponging between two output tiles in `scratch`. A
+/// short last tile fills its pad lanes with copies of its last item,
+/// computes them and discards them.
 #[inline(always)]
 pub(crate) fn drive_head<'r>(
     head: &MlpHead,
     mut rows: impl Iterator<Item = &'r [f32]>,
     out: &mut [f32],
     scratch: &mut [f32],
-    // `layer(l, w, bias, starts, x, y, m)` runs one layer for one user
-    // over one tile: `w` holds the layer's packed rows, `bias` its
-    // biases, `starts` the user's start state (`None` after layer 1:
-    // zero lanes and tail), `x` the input tile, `y` the `out x 8` output
-    // tile; only the first `m` lanes are live.
-    mut layer: impl FnMut(&PackedLayer, &[f32], &[f32], Option<&[f32]>, &[f32], &mut [f32], usize),
+    // `layer(l, w, bias, starts, x, prod, ys)` runs one layer over one
+    // tile: `w` holds the layer's packed rows, `bias` its biases, `x`
+    // the input tile and `prod` room for one row's product tile.
+    // `starts` holds every user's start state (`users x out x 9`) and
+    // `ys` receives one `out x 8` output tile per user; `None` means one
+    // user with zero lanes and tail.
+    mut layer: impl FnMut(&PackedLayer, &[f32], &[f32], Option<&[f32]>, &[f32], &mut [f32], &mut [f32]),
     // `transpose(xs, tile)` writes `tile[j * 8 + i] = xs[i][j]`.
     mut transpose: impl FnMut(&[&[f32]; LANES], &mut [f32]),
 ) -> TensorResult<()> {
@@ -438,11 +466,13 @@ pub(crate) fn drive_head<'r>(
     let tile_len = LANES * first.row_len();
     let half = LANES * head.width;
     let (tile, rest) = scratch[..need].split_at_mut(tile_len);
+    let (prod, rest) = rest.split_at_mut(tile_len.max(half));
+    let (ys, rest) = rest.split_at_mut(head.users * first.out * LANES);
     let (ping, pong) = rest.split_at_mut(half);
     // The shared-chunk user lanes: `-0.0` inputs against `+0.0` weights
     // add `-0.0`, the exact additive identity.
     tile[..first.lead * LANES].fill(-0.0);
-    let out1 = first.out * START;
+    let (w1, b1) = head.weights(first);
     for t0 in (0..n).step_by(LANES) {
         let m = (n - t0).min(LANES);
         let mut xs: [&[f32]; LANES] = [&[]; LANES];
@@ -465,19 +495,16 @@ pub(crate) fn drive_head<'r>(
         let last = xs[m - 1];
         xs[m..].fill(last);
         transpose(&xs, &mut tile[first.lead * LANES..]);
-        for u in 0..head.users {
-            let (mut cur, mut next) = (&mut *ping, &mut *pong);
-            for (li, l) in head.layers.iter().enumerate() {
-                let w = &head.packed[l.base..l.base + l.len()];
-                let (w, bias) = w.split_at(l.out * l.row_len());
-                let y = &mut next[..l.out * LANES];
-                if li == 0 {
-                    let st = &head.starts[u * out1..(u + 1) * out1];
-                    layer(l, w, bias, Some(st), tile, y, m);
-                } else {
-                    layer(l, w, bias, None, &cur[..l.row_len() * LANES], y, m);
-                }
-                std::mem::swap(&mut cur, &mut next);
+        layer(first, w1, b1, Some(&head.starts), tile, prod, ys);
+        for (u, y1) in ys.chunks_exact(first.out * LANES).enumerate() {
+            let mut cur: &[f32] = y1;
+            let (mut next, mut spare) = (&mut *ping, &mut *pong);
+            for l in &head.layers[1..] {
+                let (w, bias) = head.weights(l);
+                let x = &cur[..l.row_len() * LANES];
+                layer(l, w, bias, None, x, prod, &mut next[..l.out * LANES]);
+                std::mem::swap(&mut next, &mut spare);
+                cur = &*spare;
             }
             out[u * n + t0..u * n + t0 + m].copy_from_slice(&cur[..m]);
         }
@@ -498,41 +525,58 @@ fn reduce_lanes(l: &[f32; LANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// The scalar layer: each live item lane replays [`linalg::dot`] over
-/// its tile column, resumed from the start state.
+/// The scalar layer: for each hidden row, the row's product tile, then
+/// for each user every item lane replays [`linalg::dot`] over it,
+/// resumed from the user's start state (see the module docs).
 fn layer_scalar(
     l: &PackedLayer,
     w: &[f32],
     bias: &[f32],
     starts: Option<&[f32]>,
     x: &[f32],
-    y: &mut [f32],
-    m: usize,
+    prod: &mut [f32],
+    ys: &mut [f32],
 ) {
     let row_len = l.row_len();
-    for (r, (wr, yr)) in w
-        .chunks_exact(row_len)
-        .zip(y.chunks_exact_mut(LANES))
-        .enumerate()
-    {
-        for (i, yv) in yr[..m].iter_mut().enumerate() {
-            let mut lanes = [0.0f32; LANES];
-            let mut tail = 0.0f32;
-            if let Some(s) = starts {
-                let st = &s[r * START..(r + 1) * START];
-                lanes.copy_from_slice(&st[..LANES]);
-                tail = st[LANES];
+    let main = l.chunks * LANES;
+    let (x, prod) = (&x[..row_len * LANES], &mut prod[..row_len * LANES]);
+    for (r, wr) in w.chunks_exact(row_len).enumerate() {
+        for ((pv, xv), &wv) in prod
+            .chunks_exact_mut(LANES)
+            .zip(x.chunks_exact(LANES))
+            .zip(wr)
+        {
+            for (p, &xi) in pv.iter_mut().zip(xv) {
+                *p = xi * wv;
             }
-            for (c, wc) in wr[..l.chunks * LANES].chunks_exact(LANES).enumerate() {
-                for (lane, (&wv, xr)) in lanes.iter_mut().zip(wc.iter().zip(c * LANES..)) {
-                    *lane += x[xr * LANES + i] * wv;
+        }
+        for (u, yu) in ys.chunks_exact_mut(l.out * LANES).enumerate() {
+            // `lanes[lane][item]`: dot's lane sums for all 8 items.
+            let mut lanes = [[0.0f32; LANES]; LANES];
+            let mut tail = [0.0f32; LANES];
+            if let Some(s) = starts {
+                let st = &s[(u * l.out + r) * START..][..START];
+                for (lane, &sv) in lanes.iter_mut().zip(st) {
+                    *lane = [sv; LANES];
+                }
+                tail = [st[LANES]; LANES];
+            }
+            for chunk in prod[..main * LANES].chunks_exact(LANES * LANES) {
+                for (lane, pv) in lanes.iter_mut().zip(chunk.chunks_exact(LANES)) {
+                    for (a, &p) in lane.iter_mut().zip(pv) {
+                        *a += p;
+                    }
                 }
             }
-            for (t, &wv) in wr[l.chunks * LANES..].iter().enumerate() {
-                tail += x[(l.chunks * LANES + t) * LANES + i] * wv;
+            for pv in prod[main * LANES..].chunks_exact(LANES) {
+                for (t, &p) in tail.iter_mut().zip(pv) {
+                    *t += p;
+                }
             }
-            let v = reduce_lanes(&lanes) + tail;
-            *yv = l.act.apply(v + bias[r]);
+            for (i, yv) in yu[r * LANES..(r + 1) * LANES].iter_mut().enumerate() {
+                let v = reduce_lanes(&std::array::from_fn(|lane| lanes[lane][i])) + tail[i];
+                *yv = l.act.apply(v + bias[r]);
+            }
         }
     }
 }
@@ -709,9 +753,70 @@ mod tests {
 
         // Two users: `out` holds users x rows, a multiple of the batch.
         let pair = MlpHead::try_new(ok, [&u2[..], &u2[..]]).unwrap();
+        let mut scratch2 = vec![0.0; pair.scratch_len()];
         let mut out2 = [0.0f32; 6];
-        assert!(score_mlp_head(&pair, rows_of(3), &mut out2, &mut scratch).is_ok());
-        assert!(score_mlp_head(&pair, rows_of(3), &mut out2[..5], &mut scratch).is_err());
-        assert!(score_mlp_head(&pair, rows_of(2), &mut out2, &mut scratch).is_err());
+        assert!(score_mlp_head(&pair, rows_of(3), &mut out2, &mut scratch2).is_ok());
+        assert!(score_mlp_head(&pair, rows_of(3), &mut out2[..5], &mut scratch2).is_err());
+        assert!(score_mlp_head(&pair, rows_of(2), &mut out2, &mut scratch2).is_err());
+    }
+
+    /// Each user of a batch gets its own layer-1 output tile (`out₁ x 8`
+    /// floats), so the scratch grows with the batch; one float short is
+    /// a shape error, never a panic, on either backend.
+    #[test]
+    fn scratch_grows_with_users_and_short_scratch_is_a_shape_error() {
+        let (du, di, hidden) = (3, 13, 5);
+        let w1 = Matrix::from_vec(hidden, du + di, pseudo(hidden * (du + di), 0.41)).unwrap();
+        let b1 = pseudo(hidden, 0.17);
+        let w2 = Matrix::from_vec(1, hidden, pseudo(hidden, 0.29)).unwrap();
+        let layers = [
+            HeadLayer {
+                w: &w1,
+                b: &b1,
+                act: Act::Relu,
+            },
+            HeadLayer {
+                w: &w2,
+                b: &[0.5],
+                act: Act::Identity,
+            },
+        ];
+        let users: Vec<Vec<f32>> = (0..64).map(|u| pseudo(du, 0.01 * u as f32 + 0.3)).collect();
+        let head_of =
+            |b: usize| MlpHead::try_new(layers, users[..b].iter().map(|u| &u[..])).unwrap();
+        let one = head_of(1).scratch_len();
+        for b in [2usize, 7, 64] {
+            assert_eq!(
+                head_of(b).scratch_len(),
+                one + (b - 1) * hidden * LANES,
+                "{b} users"
+            );
+        }
+        let n = 2 * LANES + 3;
+        let items = Matrix::from_vec(n, di, pseudo(n * di, 0.53)).unwrap();
+        for b in [2usize, 64] {
+            let head = head_of(b);
+            let mut out = vec![0.0; b * n];
+            let mut scratch = vec![0.0; head.scratch_len() - 1];
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                let r = score_mlp_head_with_backend(
+                    &head,
+                    items.iter_rows(),
+                    &mut out,
+                    &mut scratch,
+                    backend,
+                );
+                assert!(
+                    matches!(
+                        r,
+                        Err(ShapeError::Mismatch {
+                            op: "mlp head scratch",
+                            ..
+                        })
+                    ),
+                    "{b} users {backend:?}: {r:?}"
+                );
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 use crate::error::TensorResult;
 use crate::gemm::{MR, NR};
 use crate::numeric::Act;
-use crate::score::{MlpHead, PackedLayer, LANES};
+use crate::score::{MlpHead, PackedLayer, LANES, START};
 use crate::update::{dead_lane_rho_mantissa, RmsPropStep};
 use core::arch::x86_64::*;
 
@@ -216,11 +216,11 @@ pub(crate) unsafe fn score_mlp_head_avx2<'r>(
         rows,
         out,
         scratch,
-        |l, w, bias, starts, x, y, _| {
+        |l, w, bias, starts, x, prod, ys| {
             // SAFETY: this closure runs only inside `score_mlp_head_avx2`,
             // whose guarding dispatch check `dispatch::resolve(..) ==
             // Backend::Avx2` the caller holds.
-            unsafe { head_layer_avx2(l, w, bias, starts, x, y) }
+            unsafe { head_layer_avx2(l, w, bias, starts, x, prod, ys) }
         },
         |xs, tile| {
             // SAFETY: as above — the caller holds the dispatch check.
@@ -290,20 +290,33 @@ unsafe fn transpose8_avx2(xs: &[&[f32]; LANES], tile: &mut [f32]) {
     }
 }
 
-/// One layer over one item-lane tile: register `X[p]` holds input
-/// position `p` of 8 items, so for each hidden row the 8 accumulators
-/// `acc[l]` are [`dot_avx2`]'s 8 lanes for all 8 items at once. Each
-/// starts from the row's broadcast start lane (zero after layer 1) and
-/// adds `X[c*8+l] * bcast(w[c*8+l])` chunk by chunk (mul, then add);
+/// One layer over one item-lane tile for a batch of users: register
+/// `X[p]` holds input position `p` of 8 items, and each hidden row's
+/// products `P[p] = X[p] * bcast(w[p])` are shared by the batch. Per
+/// user, the 8 accumulators `acc[l]` — [`dot_avx2`]'s 8 lanes for all 8
+/// items at once — start from the user's broadcast start lanes (zero
+/// with `starts == None`) and add `acc[l] + P[c*8+l]` chunk by chunk;
 /// the lane reduction `((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))` is plain
-/// vertical adds; then `+ tail`, `+ bias` and the activation — every
-/// item lane exactly as `dot_avx2` + bias + `Act::apply`. Pad lanes of a
+/// vertical adds; then `+ tail`, `+ bias` and the activation into the
+/// user's output tile — every item lane exactly as `dot_avx2` + bias +
+/// `Act::apply`, since each product and each add is the one a
+/// mul-then-add loop performs.
+///
+/// Who builds the products: the first user adds each one straight from
+/// the register that computed it, the second user computes them again
+/// and also stores them to `prod`, and every later user reads them back
+/// from L1. A batch of one thus runs exactly the per-user loop's
+/// operations with no stores (with the stores, a one-user row measured
+/// about 0.75x the per-user loop's speed), and every user past the
+/// second skips the multiplies and the input and weight loads. The
+/// activation runs as one sweep over `ys` after the rows, which keeps
+/// the three per-user passes small enough to inline. Pad lanes of a
 /// short tile are computed like live ones and discarded by the caller.
 ///
 // SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2`; `w`, `bias`, `x` and `y`
-// are resliced (bounds-checked) to the layer's exact extents, and each
-// row's start state is a bounds-checked slice of `starts`.
+// `dispatch::resolve(..) == Backend::Avx2`; `w`, `bias`, `x` and `prod`
+// are resliced (bounds-checked) to the layer's extents, and the output
+// tiles and start states are bounds-checked slices of `ys`/`starts`.
 #[target_feature(enable = "avx2,fma,f16c")]
 #[inline]
 unsafe fn head_layer_avx2(
@@ -312,72 +325,112 @@ unsafe fn head_layer_avx2(
     bias: &[f32],
     starts: Option<&[f32]>,
     x: &[f32],
-    y: &mut [f32],
+    prod: &mut [f32],
+    ys: &mut [f32],
 ) {
     let row_len = l.row_len();
-    let main = l.chunks * LANES;
     // Bounds-checked reslices: every pointer offset below is proven
     // against these exact lengths.
-    let (w, bias, x, y) = (
+    let (w, bias, x, prod) = (
         &w[..l.out * row_len],
         &bias[..l.out],
         &x[..row_len * LANES],
-        &mut y[..l.out * LANES],
+        &mut prod[..row_len * LANES],
     );
-    let px = x.as_ptr();
-    for (r, (wr, yr)) in w
-        .chunks_exact(row_len)
-        .zip(y.chunks_exact_mut(LANES))
-        .enumerate()
-    {
+    let (px, pp) = (x.as_ptr(), prod.as_mut_ptr());
+    for (r, wr) in w.chunks_exact(row_len).enumerate() {
         let pw = wr.as_ptr();
-        let (mut acc, mut tail) = match starts {
-            Some(s) => {
-                let st = &s[r * (LANES + 1)..(r + 1) * (LANES + 1)];
-                (
-                    std::array::from_fn::<_, LANES, _>(|lane| _mm256_set1_ps(st[lane])),
-                    _mm256_set1_ps(st[LANES]),
-                )
-            }
-            None => ([_mm256_setzero_ps(); LANES], _mm256_setzero_ps()),
+        let b = _mm256_set1_ps(bias[r]);
+        // SAFETY: p < row_len = wr.len(), and position p's 8 floats end
+        // at `(p + 1) * 8 <= row_len * 8`, the length of both `x` and
+        // `prod`.
+        let product = |p: usize| unsafe {
+            _mm256_mul_ps(
+                _mm256_loadu_ps(px.add(p * LANES)),
+                _mm256_set1_ps(*pw.add(p)),
+            )
         };
-        let mut p = 0;
-        while p < main {
-            for (lane, a) in acc.iter_mut().enumerate() {
-                // SAFETY: p + lane < main <= row_len = wr.len(), and
-                // input row p + lane's 8 floats end at
-                // `(p + lane + 1) * 8 <= row_len * 8 = x.len()`.
-                let (xv, wv) = unsafe {
-                    (
-                        _mm256_loadu_ps(px.add((p + lane) * LANES)),
-                        _mm256_set1_ps(*pw.add(p + lane)),
-                    )
-                };
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
-            }
-            p += LANES;
+        let mut users = ys.chunks_exact_mut(l.out * LANES).enumerate();
+        if let Some(user) = users.next() {
+            // SAFETY: the caller holds the dispatch check (see above),
+            // and `user_row_avx2` calls `product` with `p < row_len`.
+            unsafe { user_row_avx2(l, starts, user, r, b, product) };
         }
-        let mut s = _mm256_add_ps(
-            _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3])),
-            _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]), _mm256_add_ps(acc[6], acc[7])),
-        );
-        while p < row_len {
-            // SAFETY: p < row_len = wr.len(), and input row p's 8 floats
-            // end at `(p + 1) * 8 <= x.len()`.
-            let (xv, wv) = unsafe {
-                (
-                    _mm256_loadu_ps(px.add(p * LANES)),
-                    _mm256_set1_ps(*pw.add(p)),
-                )
+        if let Some(user) = users.next() {
+            let store = |p: usize| {
+                let pv = product(p);
+                // SAFETY: as for `product`, within `prod`.
+                unsafe { _mm256_storeu_ps(pp.add(p * LANES), pv) };
+                pv
             };
-            tail = _mm256_add_ps(tail, _mm256_mul_ps(xv, wv));
-            p += 1;
+            // SAFETY: as for the first user.
+            unsafe { user_row_avx2(l, starts, user, r, b, store) };
         }
-        s = _mm256_add_ps(s, tail);
-        s = _mm256_add_ps(s, _mm256_set1_ps(bias[r]));
-        // SAFETY: the caller holds the dispatch check (see above).
-        unsafe { act_avx2(l.act, s, yr) };
+        for user in users {
+            // SAFETY: as for `product`; product p was stored at `p * 8`
+            // by the second user's pass.
+            let load = |p: usize| unsafe { _mm256_loadu_ps(pp.add(p * LANES)) };
+            // SAFETY: as for the first user.
+            unsafe { user_row_avx2(l, starts, user, r, b, load) };
+        }
     }
+    for y in ys.chunks_exact_mut(LANES) {
+        // SAFETY: the caller holds the dispatch check; `y` is 8 floats.
+        unsafe { act_avx2(l.act, _mm256_loadu_ps(y.as_ptr()), y) };
+    }
+}
+
+/// One user's hidden row `r` over the tile, into its output tile `yu`:
+/// the user's start lanes, `product(p)` added for the row's input
+/// positions in ascending order — chunk positions into lane `p % 8` of
+/// the accumulators, tail positions into the tail, always
+/// `acc + product` — then the lane reduction
+/// `((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`, `+ tail` and `+ b` (the
+/// pre-activation).
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2`, and `product(p)` must be
+// sound for every `p < l.row_len()`; the start state and the output
+// are bounds-checked slices of `starts` and `yu`.
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn user_row_avx2(
+    l: &PackedLayer,
+    starts: Option<&[f32]>,
+    (u, yu): (usize, &mut [f32]),
+    r: usize,
+    b: __m256,
+    mut product: impl FnMut(usize) -> __m256,
+) {
+    let (mut acc, mut tail) = match starts {
+        Some(s) => {
+            let st = &s[(u * l.out + r) * START..][..START];
+            (
+                std::array::from_fn(|lane| _mm256_set1_ps(st[lane])),
+                _mm256_set1_ps(st[LANES]),
+            )
+        }
+        None => ([_mm256_setzero_ps(); LANES], _mm256_setzero_ps()),
+    };
+    let main = l.chunks * LANES;
+    let mut p = 0;
+    while p < main {
+        for (lane, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, product(p + lane));
+        }
+        p += LANES;
+    }
+    while p < l.row_len() {
+        tail = _mm256_add_ps(tail, product(p));
+        p += 1;
+    }
+    let s = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3])),
+        _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]), _mm256_add_ps(acc[6], acc[7])),
+    );
+    let y = &mut yu[r * LANES..(r + 1) * LANES];
+    // SAFETY: `y` is exactly 8 floats, the width of one ymm store.
+    unsafe { _mm256_storeu_ps(y.as_mut_ptr(), _mm256_add_ps(_mm256_add_ps(s, tail), b)) };
 }
 
 /// Applies `act` to 8 lanes and stores them to `y[..8]`, bit for bit as

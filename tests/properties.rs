@@ -578,7 +578,10 @@ use scenerec_tensor::Backend;
 
 const HEAD_USER_DIMS: [usize; 5] = [1, 3, 8, 13, 32];
 const HEAD_HIDDEN: [usize; 5] = [1, 5, 8, 17, 32];
-const HEAD_BATCHES: [usize; 4] = [1, 2, 7, 33];
+/// One user (products built in registers only), two (the second user
+/// stores them), three (the first to read them back), and up to 64, the
+/// largest serving `max_batch`.
+const HEAD_BATCHES: [usize; 6] = [1, 2, 3, 7, 33, 64];
 const HEAD_ACTS: [Act; 5] = [
     Act::Identity,
     Act::Sigmoid,
@@ -665,7 +668,7 @@ fn head_reference(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn fused_mlp_head_matches_layer_stack_bitwise(
@@ -675,7 +678,7 @@ proptest! {
         hidden in prop::collection::vec(0usize..5, 1..3),
         acts in prop::collection::vec(0usize..5, 3),
         num_items in 0usize..40,
-        batch_idx in 0usize..4,
+        batch_idx in 0usize..6,
     ) {
         let du = HEAD_USER_DIMS[du_idx];
         let batch = HEAD_BATCHES[batch_idx];
